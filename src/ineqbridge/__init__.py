@@ -22,12 +22,9 @@ from .distributions import (
     gamma_sample,
     gamma_survival,
     ghypo_cdf,
-    ghypo_pdf,
 )
 from .estimators import (
-    EstimateReport,
     SummaryStats,
-    estimate_report,
     g_hat,
     h_hat,
     i_hat,
@@ -54,7 +51,7 @@ from .mc_harness import (
     write_csv,
 )
 from .quadrature import QuadratureError, QuadResult, integrate_finite, integrate_semi_infinite
-from .specfun import kummer_1f1, log_gamma, log_humbert_phi2, log_kummer_1f1, reg_gamma_q
+from .specfun import log_humbert_phi2, reg_gamma_q
 
 __version__ = "0.1.0"
 
@@ -62,13 +59,12 @@ __all__ = [
     "BiasQuery", "TiltingCheck", "bias", "expected_h_hat", "expected_i_hat",
     "tilting_lemma_check",
     "DiscreteDist", "GammaParams", "GHypoParams", "discrete_shift_scale",
-    "gamma_sample", "gamma_survival", "ghypo_cdf", "ghypo_pdf",
-    "EstimateReport", "SummaryStats", "estimate_report", "g_hat", "h_hat",
-    "i_hat", "i_hat_fast", "summarize",
+    "gamma_sample", "gamma_survival", "ghypo_cdf",
+    "SummaryStats", "g_hat", "h_hat", "i_hat", "i_hat_fast", "summarize",
     "discrete_index", "gamma_gini", "gamma_hoover", "gamma_index",
     "integral_index", "j_index", "lambda_path",
     "ScenarioFailure", "SimConfig", "SimSummary", "compare_i_vs_j",
     "format_table", "run_grid", "run_scenario", "write_csv",
     "QuadratureError", "QuadResult", "integrate_finite", "integrate_semi_infinite",
-    "kummer_1f1", "log_gamma", "log_humbert_phi2", "log_kummer_1f1", "reg_gamma_q",
+    "log_humbert_phi2", "reg_gamma_q",
 ]

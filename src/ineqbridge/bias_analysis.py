@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import GammaParams, GHypoParams, gamma_sample, ghypo_cdf
-from .index_core import check_lambda, gamma_gini, gamma_index
+from .index_core import check_lambda, check_sample_size, check_shape, gamma_gini, gamma_index
 from .quadrature import integrate_finite
 from .specfun import reg_gamma_q
 
@@ -49,11 +49,9 @@ class BiasQuery:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"shape must be finite and > 0, got {self.alpha!r}")
+        check_shape(self.alpha)
         check_lambda(self.lam)
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"sample size must be an integer >= 2, got {self.n!r}")
+        check_sample_size(self.n)
 
 
 def _upper_cut(integrand, start: float) -> float:
@@ -106,12 +104,8 @@ def expected_i_hat(q: BiasQuery) -> float:
 
 def expected_h_hat(alpha: float, n: int) -> float:
     """Expectation of the Hoover estimator under a gamma population."""
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"shape must be finite and > 0, got {alpha!r}")
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"sample size must be >= 2, got {n}")
+    alpha = check_shape(alpha)
+    n = check_sample_size(n)
     big = (n - 1) * alpha
 
     def integrand(t):

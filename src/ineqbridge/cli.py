@@ -18,13 +18,12 @@ import sys
 import numpy as np
 
 from .bias_analysis import BiasQuery, expected_i_hat
-from .distributions import GammaParams, gamma_sample
 from .estimators import g_hat, h_hat, i_hat_fast
 from .index_core import gamma_gini, gamma_hoover, gamma_index, lambda_path
 from .mc_harness import (
     ScenarioFailure,
     SimConfig,
-    _replication_rng,
+    _replication_sample,
     compare_i_vs_j,
     format_table,
     run_grid,
@@ -250,9 +249,7 @@ def _cmd_simulate(args) -> int:
                                           seed=args.seed + idx))
                     idx += 1
         if args.dump_sample:
-            first = grid[0]
-            rng = _replication_rng(first.seed, 0)
-            sample = gamma_sample(GammaParams(first.alpha, 1.0), rng, first.n)
+            sample = _replication_sample(grid[0], 0)
             with open(args.dump_sample, "w", encoding="utf-8") as fh:
                 fh.write("value\n")
                 for v in sample:

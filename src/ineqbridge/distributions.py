@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import integrate_finite
-from .specfun import log_humbert_phi2, log_kummer_1f1, reg_gamma_q
+from .specfun import log_humbert_phi2, reg_gamma_q
 
 __all__ = [
     "GammaParams",
@@ -25,11 +25,9 @@ __all__ = [
     "gamma_survival",
     "gamma_sample",
     "ghypo_cdf",
-    "ghypo_pdf",
     "discrete_shift_scale",
 ]
 
-_LOG_MAX = 709.0
 _PHI2_BUDGET = 4.0e4  # series length scale (x + y) above which convolution wins
 
 
@@ -213,26 +211,6 @@ def ghypo_cdf(g: GHypoParams, t):
         if hard.any():
             vals[hard] = [_ghypo_cdf_convolution(g, float(tv)) for tv in tp[hard]]
         out[pos] = vals
-    if scalar:
-        return float(out[0])
-    return out.reshape(ta.shape)
-
-
-def ghypo_pdf(g: GHypoParams, t):
-    """Density of the two-gamma sum at t > 0.  Scalar or ndarray t."""
-    ta = np.asarray(t, dtype=float)
-    scalar = ta.ndim == 0
-    flat = np.atleast_1d(ta).ravel().astype(float)
-    if not np.isfinite(flat).all() or (flat <= 0).any():
-        raise ValueError("ghypo_pdf requires finite t > 0")
-    a_hi, b_hi, a_lo, b_lo = _ordered(g)
-    nu = g.alpha1 + g.alpha2
-    lp = (g.alpha1 * math.log(g.beta1) + g.alpha2 * math.log(g.beta2)
-          + (nu - 1.0) * np.log(flat) - b_hi * flat - math.lgamma(nu))
-    logf = lp + log_kummer_1f1(a_lo, nu, (b_hi - b_lo) * flat)
-    if (logf > _LOG_MAX).any():
-        raise OverflowError(f"GHypo density overflows for parameters {g}")
-    out = np.exp(logf)
     if scalar:
         return float(out[0])
     return out.reshape(ta.shape)

@@ -12,7 +12,6 @@ keeps mixed-magnitude samples honest at the 1e-12 level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,70 +25,93 @@ __all__ = [
     "i_hat_fast",
     "summarize",
     "SummaryStats",
-    "EstimateReport",
-    "estimate_report",
 ]
 
 
-def _as_sample(values, min_n: int = 2) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size < min_n:
-        raise ValueError(f"sample needs at least {min_n} observations, got {arr.size}")
-    if not np.isfinite(arr).all():
+def _estimate(core, values, min_n: int, *args) -> float:
+    """Common start of every estimator: validate the sample, take its mean,
+    then return core(x, n, xbar, *args).
+
+    A zero mean (an all-zero sample, or a sum so small that the mean
+    underflows) yields 0 without calling the core.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size < min_n:
+        raise ValueError(f"sample needs at least {min_n} observations, got {x.size}")
+    if not np.isfinite(x).all():
         raise ValueError("sample values must be finite")
-    if (arr < 0).any():
+    if (x < 0).any():
         raise ValueError("sample values must be non-negative")
-    return arr
-
-
-def h_hat(values) -> float:
-    """Hoover estimator: sum |Xi - Xbar| / (2 n Xbar)."""
-    x = _as_sample(values, min_n=1)
-    total = math.fsum(x.tolist())
     n = x.size
-    xbar = total / n
-    if xbar == 0.0:  # all-zero sample, or a sum so small the mean underflows
+    xbar = math.fsum(x.tolist()) / n
+    if xbar == 0.0:
         return 0.0
-    dev = math.fsum(np.abs(x - xbar).tolist())
-    return dev / (2.0 * n * xbar)
+    return core(x, n, xbar, *args)
 
 
-def g_hat(values) -> float:
-    """Gini estimator with the unbiased-style n(n-1) pair count."""
-    x = _as_sample(values, min_n=2)
-    total = math.fsum(x.tolist())
-    n = x.size
-    xbar = total / n
-    if xbar == 0.0:  # all-zero sample, or a sum so small the mean underflows
-        return 0.0
+def _abs_dev_sum(x: np.ndarray, xbar: float) -> float:
+    return math.fsum(np.abs(x - xbar).tolist())
+
+
+def _hoover(x, n, xbar):
+    return _abs_dev_sum(x, xbar) / (2.0 * n * xbar)
+
+
+def _gini(x, n, xbar):
     xs = np.sort(x)
     # sum_{i<j} |Xi - Xj| = sum_k (2k - n + 1) * x_(k) over the sorted sample
     pair_sum = math.fsum(((2 * k - n + 1) * xs[k] for k in range(n)))
     return pair_sum / (n * (n - 1) * xbar)
 
 
-def i_hat(values, lam: float) -> float:
-    """Quadratic reference evaluation of the plug-in index estimator.
-
-    The lam = 0 and lam = 1 endpoints delegate to h_hat and g_hat so the
-    endpoint identities hold exactly, summation order included.
-    """
+def _bridge(interior, values, lam: float) -> float:
+    # the endpoints run the Hoover and Gini cores, so I_0 = H and I_1 = G
+    # hold exactly, summation order included
     lam = check_lambda(lam)
-    x = _as_sample(values, min_n=2)
     if lam == 0.0:
-        return h_hat(x)
+        return _estimate(_hoover, values, 2)
     if lam == 1.0:
-        return g_hat(x)
-    total = math.fsum(x.tolist())
-    n = x.size
-    xbar = total / n
-    if xbar == 0.0:  # all-zero sample, or a sum so small the mean underflows
-        return 0.0
+        return _estimate(_gini, values, 2)
+    return _estimate(interior, values, 2, lam)
+
+
+def _pairs_quadratic(x, n, xbar, lam):
     a = x - (1.0 - lam) * xbar
     terms = np.abs(a[:, None] - lam * x[None, :])
     np.fill_diagonal(terms, 0.0)
     s = math.fsum(terms.ravel().tolist())
     return s / (2.0 * n * (n - 1) * xbar)
+
+
+def _pairs_sorted(x, n, xbar, lam):
+    xs = np.sort(x)
+    prefix = np.concatenate(([0.0], np.cumsum(xs)))
+    a = x - (1.0 - lam) * xbar
+    with np.errstate(over="ignore"):
+        split = a / lam  # +-inf is a legitimate threshold when lam is tiny
+    k = np.searchsorted(xs, split, side="right")
+    inner = a * (2 * k - n) + lam * (prefix[n] - 2.0 * prefix[k])
+    s = math.fsum(inner.tolist()) - (1.0 - lam) * _abs_dev_sum(x, xbar)
+    return s / (2.0 * n * (n - 1) * xbar)
+
+
+def h_hat(values) -> float:
+    """Hoover estimator: sum |Xi - Xbar| / (2 n Xbar)."""
+    return _estimate(_hoover, values, 1)
+
+
+def g_hat(values) -> float:
+    """Gini estimator with the unbiased-style n(n-1) pair count."""
+    return _estimate(_gini, values, 2)
+
+
+def i_hat(values, lam: float) -> float:
+    """Quadratic reference evaluation of the plug-in index estimator.
+
+    The lam = 0 and lam = 1 endpoints equal h_hat and g_hat exactly,
+    summation order included.
+    """
+    return _bridge(_pairs_quadratic, values, lam)
 
 
 def i_hat_fast(values, lam: float) -> float:
@@ -99,26 +121,7 @@ def i_hat_fast(values, lam: float) -> float:
     comes from prefix sums of the sorted sample split at a_i/lam; values tied
     with the split point contribute zero from either side.
     """
-    lam = check_lambda(lam)
-    x = _as_sample(values, min_n=2)
-    if lam == 0.0:
-        return h_hat(x)
-    if lam == 1.0:
-        return g_hat(x)
-    total = math.fsum(x.tolist())
-    n = x.size
-    xbar = total / n
-    if xbar == 0.0:  # all-zero sample, or a sum so small the mean underflows
-        return 0.0
-    xs = np.sort(x)
-    prefix = np.concatenate(([0.0], np.cumsum(xs)))
-    a = x - (1.0 - lam) * xbar
-    with np.errstate(over="ignore"):
-        split = a / lam  # +-inf is a legitimate threshold when lam is tiny
-    k = np.searchsorted(xs, split, side="right")
-    inner = a * (2 * k - n) + lam * (prefix[n] - 2.0 * prefix[k])
-    s = math.fsum(inner.tolist()) - (1.0 - lam) * math.fsum(np.abs(x - xbar).tolist())
-    return s / (2.0 * n * (n - 1) * xbar)
+    return _bridge(_pairs_sorted, values, lam)
 
 
 class SummaryStats(NamedTuple):
@@ -147,30 +150,3 @@ def summarize(estimates, truth: float) -> SummaryStats:
     else:
         variance = 0.0
     return SummaryStats(mean=mean, bias=bias, mse=mse, variance=variance)
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """All sample measures at one interpolation weight."""
-
-    lam: float
-    i_hat: float
-    h_hat: float
-    g_hat: float
-    j_hat: float
-    n: int
-
-
-def estimate_report(values, lam: float) -> EstimateReport:
-    x = _as_sample(values, min_n=2)
-    lam = check_lambda(lam)
-    h = h_hat(x)
-    g = g_hat(x)
-    return EstimateReport(
-        lam=lam,
-        i_hat=i_hat_fast(x, lam),
-        h_hat=h,
-        g_hat=g,
-        j_hat=(1.0 - lam) * h + lam * g,
-        n=int(x.size),
-    )

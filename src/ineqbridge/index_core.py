@@ -32,11 +32,26 @@ __all__ = [
 ]
 
 
+# Parameter checks shared by every public entry point.
+
+def check_shape(alpha: float) -> float:
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"shape must be finite and > 0, got {alpha!r}")
+    return alpha
+
+
 def check_lambda(lam: float) -> float:
     lam = float(lam)
     if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
         raise ValueError(f"interpolation weight must lie in [0, 1], got {lam!r}")
     return lam
+
+
+def check_sample_size(n) -> int:
+    if not (math.isfinite(n) and n == int(n) and n >= 2):
+        raise ValueError(f"sample size must be an integer >= 2, got {n!r}")
+    return int(n)
 
 
 def discrete_index(d: DiscreteDist, lam: float) -> float:
@@ -116,9 +131,7 @@ def gamma_index(alpha: float, lam: float) -> float:
     Scale free, so no rate parameter appears.  lam = 0 is the analytic
     limit handled by the Hoover closed form.
     """
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"shape must be finite and > 0, got {alpha!r}")
+    alpha = check_shape(alpha)
     lam = check_lambda(lam)
     if lam == 0.0:
         return gamma_hoover(alpha)
@@ -145,17 +158,13 @@ def gamma_index(alpha: float, lam: float) -> float:
 
 def gamma_hoover(alpha: float) -> float:
     """Hoover index of a gamma population: alpha^(alpha-1) e^(-alpha) / Gamma(alpha)."""
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"shape must be finite and > 0, got {alpha!r}")
+    alpha = check_shape(alpha)
     return math.exp((alpha - 1.0) * math.log(alpha) - alpha - math.lgamma(alpha))
 
 
 def gamma_gini(alpha: float) -> float:
     """Gini coefficient of a gamma population: Gamma(alpha + 1/2) / (sqrt(pi) alpha Gamma(alpha))."""
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"shape must be finite and > 0, got {alpha!r}")
+    alpha = check_shape(alpha)
     return math.exp(math.lgamma(alpha + 0.5) - math.lgamma(alpha)) / (math.sqrt(math.pi) * alpha)
 
 

@@ -9,7 +9,6 @@ computed once per scenario.
 
 from __future__ import annotations
 
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ import numpy as np
 
 from .distributions import GammaParams, gamma_sample
 from .estimators import g_hat, h_hat, i_hat_fast, summarize
-from .index_core import gamma_gini, gamma_hoover, gamma_index, j_index
+from .index_core import (check_lambda, check_sample_size, check_shape, gamma_gini,
+                         gamma_hoover, gamma_index, j_index)
 
 __all__ = [
     "SimConfig",
@@ -44,12 +44,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"shape must be finite and > 0, got {self.alpha!r}")
-        if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
-            raise ValueError(f"weight must lie in [0, 1], got {self.lam!r}")
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"sample size must be an integer >= 2, got {self.n!r}")
+        check_shape(self.alpha)
+        check_lambda(self.lam)
+        check_sample_size(self.n)
         if int(self.reps) != self.reps or self.reps < 1:
             raise ValueError(f"replication count must be an integer >= 1, got {self.reps!r}")
         if int(self.seed) != self.seed or not (0 <= self.seed < 2 ** 64):
@@ -75,23 +72,25 @@ class ScenarioFailure:
 
 @lru_cache(maxsize=None)
 def _cached_truth(alpha: float, lam: float) -> float:
-    return gamma_index(alpha, lam)
+    # the Gini end takes the closed form that the J truth of compare_i_vs_j uses
+    return gamma_gini(alpha) if lam == 1.0 else gamma_index(alpha, lam)
 
 
-def _replication_rng(seed: int, r: int) -> np.random.Generator:
-    # counter-based split of the scenario seed: order-independent streams
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+def _replication_sample(config: SimConfig, r: int) -> np.ndarray:
+    """Sample of replication r, drawn from a generator split off (seed, r) alone."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(r,)))
+    return gamma_sample(GammaParams(config.alpha, 1.0), rng, config.n)
+
+
+def _replicate(config: SimConfig, estimate) -> list:
+    """estimate(sample) for every replication, in replication order."""
+    return [estimate(_replication_sample(config, r)) for r in range(config.reps)]
 
 
 def run_scenario(config: SimConfig) -> SimSummary:
     """Run one scenario and summarize the replications against the truth."""
     truth = _cached_truth(config.alpha, config.lam)
-    pop = GammaParams(config.alpha, 1.0)
-    estimates = np.empty(config.reps)
-    for r in range(config.reps):
-        rng = _replication_rng(config.seed, r)
-        sample = gamma_sample(pop, rng, config.n)
-        estimates[r] = i_hat_fast(sample, config.lam)
+    estimates = _replicate(config, lambda x: i_hat_fast(x, config.lam))
     stats = summarize(estimates, truth)
     return SimSummary(config=config, truth=truth, mean=stats.mean, bias=stats.bias,
                       mse=stats.mse, variance=stats.variance,
@@ -127,29 +126,19 @@ def compare_i_vs_j(config: SimConfig) -> tuple[float, float]:
     At the endpoints the two indices coincide and both truths use the same
     closed form, so the two reported biases are identical there.
     """
-    if config.lam == 1.0:
-        truth_i = gamma_gini(config.alpha)
-    else:
-        truth_i = _cached_truth(config.alpha, config.lam)
-    truth_j = j_index(gamma_hoover(config.alpha), gamma_gini(config.alpha), config.lam)
-    pop = GammaParams(config.alpha, 1.0)
-    est_i = np.empty(config.reps)
-    est_j = np.empty(config.reps)
-    for r in range(config.reps):
-        rng = _replication_rng(config.seed, r)
-        sample = gamma_sample(pop, rng, config.n)
-        est_i[r] = i_hat_fast(sample, config.lam)
-        est_j[r] = (1.0 - config.lam) * h_hat(sample) + config.lam * g_hat(sample)
-    bias_i = math.fsum(est_i.tolist()) / config.reps - truth_i
-    bias_j = math.fsum(est_j.tolist()) / config.reps - truth_j
+    lam = config.lam
+    truth_i = _cached_truth(config.alpha, lam)
+    truth_j = j_index(gamma_hoover(config.alpha), gamma_gini(config.alpha), lam)
+    pairs = _replicate(config, lambda x: (i_hat_fast(x, lam), (1.0 - lam) * h_hat(x) + lam * g_hat(x)))
+    est_i, est_j = zip(*pairs)
+    bias_i = math.fsum(est_i) / config.reps - truth_i
+    bias_j = math.fsum(est_j) / config.reps - truth_j
     return bias_i, bias_j
 
 
-def write_csv(summaries, dest) -> None:
-    """Write summaries in the fixed schema; `dest` is a path or text file."""
-    own = isinstance(dest, (str, bytes))
-    fh = open(dest, "w", encoding="utf-8") if own else dest
-    try:
+def write_csv(summaries, path) -> None:
+    """Write summaries in the fixed schema to the file at `path`."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for s in summaries:
             c = s.config
@@ -158,15 +147,6 @@ def write_csv(summaries, dest) -> None:
                 f"{s.truth:.17g}", f"{s.mean:.17g}", f"{s.bias:.17g}",
                 f"{s.mse:.17g}", f"{s.variance:.17g}",
             ]) + "\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def csv_text(summaries) -> str:
-    buf = io.StringIO()
-    write_csv(summaries, buf)
-    return buf.getvalue()
 
 
 def format_table(summaries, digits: int = 4, extra=None) -> str:

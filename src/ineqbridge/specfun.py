@@ -1,9 +1,8 @@
 """Scalar special functions behind the closed forms.
 
-Provides the log-gamma function, the regularized upper incomplete gamma
-function Q(s, x) = Gamma(s, x)/Gamma(s), Kummer's confluent hypergeometric
-function 1F1, and the two-variable confluent (Humbert) series needed by the
-gamma-sum distribution function.
+Provides the regularized upper incomplete gamma function
+Q(s, x) = Gamma(s, x)/Gamma(s) and the two-variable confluent (Humbert)
+series needed by the gamma-sum distribution function.
 
 Everything is arranged so that summed series have non-negative terms and
 large prefactors live in log space: shape parameters beyond a thousand are
@@ -17,10 +16,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "log_gamma",
     "reg_gamma_q",
-    "kummer_1f1",
-    "log_kummer_1f1",
     "log_humbert_phi2",
 ]
 
@@ -28,16 +24,6 @@ _TERM_CAP = 100_000
 _REL_EPS = 1e-16        # a term this small relative to the sum is negligible
 _STREAK = 3             # consecutive negligible terms required to stop
 _RESCALE_LIMIT = 1e250
-_LOG_MAX = 709.0        # exp() overflows just above this
-_TAYLOR_ARG_MAX = 4.0e4  # beyond this the direct series is too long; use the large-x expansion
-
-
-def log_gamma(s: float) -> float:
-    """Natural log of the gamma function for s > 0."""
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"log_gamma requires finite s > 0, got {s!r}")
-    return math.lgamma(s)
 
 
 def _stirling_defect(s: float) -> float:
@@ -128,114 +114,6 @@ def reg_gamma_q(s: float, x):
     if scalar:
         return float(out[0])
     return out.reshape(xa.shape)
-
-
-def _log_1f1_taylor(a: float, b: float, y: np.ndarray) -> np.ndarray:
-    # log of sum_k (a)_k y^k / ((b)_k k!) for y >= 0; rescaled to dodge overflow
-    term = np.ones_like(y)
-    total = np.ones_like(y)
-    logscale = np.zeros_like(y)
-    streak = np.zeros(y.shape, dtype=np.int64)
-    for k in range(_TERM_CAP):
-        term = term * y * (a + k) / ((b + k) * (k + 1.0))
-        total = total + term
-        big = total > _RESCALE_LIMIT
-        if big.any():
-            f = total[big]
-            logscale[big] += np.log(f)
-            term[big] /= f
-            total[big] = 1.0
-        streak = np.where(term < _REL_EPS * total, streak + 1, 0)
-        if (streak >= _STREAK).all():
-            return logscale + np.log(total)
-    raise RuntimeError(
-        f"confluent hypergeometric series hit the {_TERM_CAP}-term cap (a={a}, b={b}, max arg={float(np.max(y))})"
-    )
-
-
-def _log_1f1_large_arg(a: float, b: float, y: float) -> float | None:
-    """Large-argument expansion of 1F1(a;b;y), or None when it cannot reach accuracy.
-
-    1F1(a;b;y) ~ Gamma(b)/Gamma(a) e^y y^(a-b) sum_k (b-a)_k (1-a)_k / (k! y^k).
-    The complementary y^(-a) branch must be verifiably negligible.
-    """
-    if a <= 0.0 or b <= a:
-        return None
-    s1 = 1.0
-    t = 1.0
-    k = 0
-    while k < 500:
-        t_next = t * (b - a + k) * (1.0 - a + k) / ((k + 1.0) * y)
-        if k > 0 and abs(t_next) >= abs(t):
-            break
-        t = t_next
-        s1 += t
-        k += 1
-        if abs(t) < 1e-17 * abs(s1):
-            break
-    if s1 <= 0.0 or abs(t) > 1e-11 * abs(s1):
-        return None
-    log_second = math.lgamma(a) - math.lgamma(b - a) + (b - 2.0 * a) * math.log(y) - y
-    if log_second > math.log(1e-13):
-        return None
-    return math.lgamma(b) - math.lgamma(a) + y + (a - b) * math.log(y) + math.log(s1)
-
-
-def log_kummer_1f1(a: float, b: float, x):
-    """Natural log of 1F1(a; b; x) for a >= 0, b > 0 (and b > a when x < 0).
-
-    Negative arguments go through the reflection
-    1F1(a;b;x) = e^x 1F1(b-a;b;-x) so every summed series has positive terms.
-    Accepts a scalar or ndarray x.
-    """
-    a = float(a)
-    b = float(b)
-    if not math.isfinite(b) or b <= 0.0:
-        raise ValueError(f"kummer_1f1 requires finite b > 0, got {b!r}")
-    if not math.isfinite(a) or a < 0.0:
-        raise ValueError(f"kummer_1f1 supports a >= 0 only, got {a!r}")
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    flat = np.atleast_1d(xa).ravel()
-    if not np.isfinite(flat).all():
-        raise ValueError("kummer_1f1 requires finite x")
-    if (flat < 0).any() and b <= a:
-        raise ValueError(f"kummer_1f1 with x < 0 requires b > a, got a={a}, b={b}")
-    out = np.empty_like(flat)
-    neg = flat < 0
-    if neg.any():
-        out[neg] = flat[neg] + _log_1f1_pos(b - a, b, -flat[neg])
-    pos = ~neg
-    if pos.any():
-        out[pos] = _log_1f1_pos(a, b, flat[pos])
-    if scalar:
-        return float(out[0])
-    return out.reshape(xa.shape)
-
-
-def _log_1f1_pos(a: float, b: float, y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(y)
-    small = y <= _TAYLOR_ARG_MAX
-    if small.any():
-        out[small] = _log_1f1_taylor(a, b, y[small])
-    big = ~small
-    if big.any():
-        vals = []
-        for yv in y[big]:
-            lg = _log_1f1_large_arg(a, b, float(yv))
-            if lg is None:
-                lg = float(_log_1f1_taylor(a, b, np.array([float(yv)]))[0])
-            vals.append(lg)
-        out[big] = vals
-    return out
-
-
-def kummer_1f1(a: float, b: float, x: float) -> float:
-    """Kummer's confluent hypergeometric function 1F1(a; b; x)."""
-    lg = log_kummer_1f1(a, b, float(x))
-    if lg > _LOG_MAX:
-        raise OverflowError(f"1F1({a}; {b}; {x}) overflows double precision (log value {lg:.1f})")
-    return math.exp(lg)
 
 
 def log_humbert_phi2(a: float, c: float, x, y):

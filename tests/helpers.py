@@ -29,21 +29,6 @@ def erfc_series(x: float, terms: int = 80) -> float:
     return float(1 - 2 / mp.sqrt(mp.pi) * s)
 
 
-def mp_1f1_taylor(a, b, x, terms: int = 400) -> mp.mpf:
-    """Direct Taylor summation of 1F1 in extended precision.
-
-    Negative arguments cancel catastrophically (terms grow to ~e^|x| before
-    shrinking), so the working precision scales with |x|.
-    """
-    with mp.workdps(max(50, int(0.45 * abs(x)) + 30)):
-        s = mp.mpf(0)
-        t = mp.mpf(1)
-        for k in range(terms):
-            s += t
-            t = t * (mp.mpf(a) + k) * mp.mpf(x) / ((mp.mpf(b) + k) * (k + 1))
-        return +s
-
-
 def mp_reg_q(s, x) -> float:
     return float(mp.gammainc(mp.mpf(s), mp.mpf(x), mp.inf, regularized=True))
 

@@ -1,9 +1,10 @@
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
-from ineqbridge import gamma_hoover, i_hat_fast
+from ineqbridge import GammaParams, gamma_hoover, gamma_sample, i_hat_fast
 from ineqbridge.cli import main
 
 FIXTURE = str(files("ineqbridge").joinpath("data/gdp_per_capita_americas.csv"))
@@ -184,7 +185,9 @@ class TestSimulateCommand:
                              "--dump-sample", str(dump))
         assert code == 0
         values = [float(line) for line in dump.read_text().strip().split("\n")[1:]]
-        assert len(values) == 25
+        # replication 0 of the first scenario draws from the stream keyed by (seed, 0)
+        rng = np.random.default_rng(np.random.SeedSequence(77, spawn_key=(0,)))
+        assert values == gamma_sample(GammaParams(2.0, 1.0), rng, 25).tolist()
         code, out, _ = run_cli(capsys, "estimate", "--input", str(dump), "--column", "value",
                                "--lambdas", "0.5", "--digits", "12")
         assert code == 0

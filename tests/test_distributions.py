@@ -11,8 +11,6 @@ from ineqbridge import (
     gamma_sample,
     gamma_survival,
     ghypo_cdf,
-    ghypo_pdf,
-    integrate_semi_infinite,
     reg_gamma_q,
 )
 from ineqbridge.distributions import _ghypo_cdf_convolution
@@ -143,27 +141,6 @@ class TestGHypoCdf:
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             ghypo_cdf(GHypoParams(1.0, 1.0, 1.0, 2.0), -1.0)
-
-
-class TestGHypoPdf:
-    def test_gamma_case_density(self):
-        assert ghypo_pdf(GHypoParams(1.0, 1.0, 1.0, 1.0), 1.0) == pytest.approx(
-            math.exp(-1.0), abs=1e-13)
-
-    def test_matches_cdf_derivative(self):
-        g = GHypoParams(2.0, 0.8, 1.0, 1.5)
-        h = 1e-5
-        fd = (ghypo_cdf(g, 1.3 + h) - ghypo_cdf(g, 1.3 - h)) / (2.0 * h)
-        assert ghypo_pdf(g, 1.3) == pytest.approx(fd, abs=1e-6)
-
-    def test_normalization(self):
-        g = GHypoParams(3.5, 2.0, 0.7, 0.4)
-        r = integrate_semi_infinite(lambda t: ghypo_pdf(g, t), 1e-12, abs_tol=1e-10)
-        assert r.value == pytest.approx(1.0, abs=1e-9)
-
-    def test_t_domain(self):
-        with pytest.raises(ValueError):
-            ghypo_pdf(GHypoParams(1.0, 1.0, 1.0, 2.0), 0.0)
 
 
 class TestDiscreteDist:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ineqbridge import (
     GammaParams,
-    estimate_report,
     g_hat,
     gamma_sample,
     h_hat,
@@ -169,15 +168,3 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([], truth=0.3)
-
-
-class TestEstimateReport:
-    def test_invariants(self):
-        rng = np.random.default_rng(10)
-        x = rng.gamma(2.0, 1.0, size=60)
-        for lam in (0.0, 0.33, 1.0):
-            rep = estimate_report(x, lam)
-            assert 0.0 <= rep.i_hat <= rep.j_hat + 1e-12
-            assert rep.j_hat == pytest.approx(
-                (1.0 - lam) * rep.h_hat + lam * rep.g_hat, abs=1e-12)
-            assert rep.n == 60

@@ -9,8 +9,8 @@ from ineqbridge import (
     gamma_index,
     run_grid,
     run_scenario,
+    write_csv,
 )
-from ineqbridge.mc_harness import csv_text
 
 
 class TestSimConfig:
@@ -104,16 +104,22 @@ class TestCompare:
             bi, bj = compare_i_vs_j(SimConfig(alpha=2.0, lam=lam, n=15, reps=60, seed=4))
             assert bi == bj
 
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 1.0])
+    def test_same_bias_of_i_hat_as_run_scenario(self, lam):
+        c = SimConfig(alpha=2.0, lam=lam, n=15, reps=200, seed=9)
+        assert compare_i_vs_j(c)[0] == run_scenario(c).bias
+
     def test_interior_biases_finite_and_small(self):
         bi, bj = compare_i_vs_j(SimConfig(alpha=5.0, lam=0.5, n=80, reps=1000, seed=44))
         assert abs(bi) < 0.01 and abs(bj) < 0.01
 
 
 class TestOutputs:
-    def test_csv_schema_and_determinism(self):
-        out = run_grid(self.small_grid())
-        text_a = csv_text(out)
-        text_b = csv_text(run_grid(self.small_grid()))
+    def test_csv_schema_and_determinism(self, tmp_path):
+        path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(run_grid(self.small_grid()), str(path_a))
+        write_csv(run_grid(self.small_grid()), str(path_b))
+        text_a, text_b = path_a.read_text(), path_b.read_text()
         lines = text_a.strip().split("\n")
         assert lines[0] == "alpha,lambda,n,R,seed,truth,mean,bias,mse,variance"
         assert len(lines) == 1 + len(self.small_grid())
