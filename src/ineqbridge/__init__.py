@@ -10,7 +10,6 @@ from .bias_analysis import (
     BiasQuery,
     TiltingCheck,
     bias,
-    expected_h_hat,
     expected_i_hat,
     tilting_lemma_check,
 )
@@ -20,7 +19,6 @@ from .distributions import (
     GHypoParams,
     discrete_shift_scale,
     gamma_sample,
-    gamma_survival,
     ghypo_cdf,
 )
 from .estimators import (
@@ -56,10 +54,10 @@ from .specfun import log_humbert_phi2, reg_gamma_q
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiasQuery", "TiltingCheck", "bias", "expected_h_hat", "expected_i_hat",
+    "BiasQuery", "TiltingCheck", "bias", "expected_i_hat",
     "tilting_lemma_check",
     "DiscreteDist", "GammaParams", "GHypoParams", "discrete_shift_scale",
-    "gamma_sample", "gamma_survival", "ghypo_cdf",
+    "gamma_sample", "ghypo_cdf",
     "SummaryStats", "g_hat", "h_hat", "i_hat", "i_hat_fast", "summarize",
     "discrete_index", "gamma_gini", "gamma_hoover", "gamma_index",
     "integral_index", "j_index", "lambda_path",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bias_analysis import BiasQuery, expected_i_hat
 from .estimators import g_hat, h_hat, i_hat_fast
-from .index_core import gamma_gini, gamma_hoover, gamma_index, lambda_path
+from .index_core import gamma_index, lambda_path
 from .mc_harness import (
     ScenarioFailure,
     SimConfig,
@@ -88,17 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_index(args) -> int:
     digits = args.digits if args.digits is not None else 6
     try:
-        if args.hoover:
-            print(f"{gamma_hoover(args.alpha):.{digits}f}")
-        elif args.gini:
-            print(f"{gamma_gini(args.alpha):.{digits}f}")
-        elif args.grid is not None:
+        if args.grid is not None:
             points = lambda_path(lambda lam: gamma_index(args.alpha, lam), args.grid)
             print("lambda,value")
             for lam, value in points:
                 print(f"{lam:g},{value:.{digits}f}")
         else:
-            print(f"{gamma_index(args.alpha, args.lam):.{digits}f}")
+            lam = 0.0 if args.hoover else 1.0 if args.gini else args.lam
+            print(f"{gamma_index(args.alpha, lam):.{digits}f}")
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: alpha={args.alpha} lambda={getattr(args, 'lam', None)}: {exc}", file=sys.stderr)
         return 1
@@ -222,10 +219,9 @@ def _cmd_bias(args) -> int:
         q = BiasQuery(alpha=args.alpha, lam=args.lam, n=args.n)
         truth = gamma_index(q.alpha, q.lam)
         expected = expected_i_hat(q)
-        b = 0.0 if q.lam == 1.0 else expected - truth
         print(f"I_lambda  {truth:.{digits}f}")
         print(f"E[I_hat]  {expected:.{digits}f}")
-        print(f"bias      {b:.{digits}f}")
+        print(f"bias      {expected - truth:.{digits}f}")
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: alpha={args.alpha} lambda={args.lam} n={args.n}: {exc}", file=sys.stderr)
         return 1

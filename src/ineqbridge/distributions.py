@@ -22,7 +22,6 @@ __all__ = [
     "GammaParams",
     "GHypoParams",
     "DiscreteDist",
-    "gamma_survival",
     "gamma_sample",
     "ghypo_cdf",
     "discrete_shift_scale",
@@ -118,14 +117,6 @@ class DiscreteDist:
         if np.ndim(t) == 0:
             return float(out)
         return out
-
-
-def gamma_survival(p: GammaParams, x):
-    """P(X > x) = Q(alpha, beta*x) for X gamma distributed."""
-    xa = np.asarray(x, dtype=float)
-    if (np.atleast_1d(xa) < 0).any():
-        raise ValueError("gamma_survival requires x >= 0")
-    return reg_gamma_q(p.alpha, p.beta * xa)
 
 
 def gamma_sample(p: GammaParams, rng: np.random.Generator, count: int) -> np.ndarray:

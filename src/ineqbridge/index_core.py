@@ -75,11 +75,11 @@ def integral_index(survival, mean: float, lam: float, *,
                    abs_tol: float = 1e-11, rel_tol: float = 1e-9) -> float:
     """Index from the survival function of a non-negative distribution.
 
-    `survival(t)` must return P(X >= t) (the left limit, so that discrete
-    atoms are counted on the closed side).  `x_breakpoints` lists atom
-    locations of X so integration never straddles a jump, and `x_upper`
-    bounds the support when it is finite; both stay None/empty for
-    continuous unbounded distributions.
+    `survival(t)` is called elementwise on an ndarray t and must return
+    P(X >= t) (the left limit, so that discrete atoms are counted on the
+    closed side).  `x_breakpoints` lists atom locations of X so integration
+    never straddles a jump, and `x_upper` bounds the support when it is
+    finite; both stay None/empty for continuous unbounded distributions.
 
     Evaluates (1/mu) * int_0^inf F(t) * S_Y(t) dt where Y = lam*X2 +
     (1-lam)*mu, S_Y(t) = 1 below (1-lam)*mu and survival((t-c)/lam) above.
@@ -128,20 +128,19 @@ def _gamma_q_tail(alpha: float, t: float) -> float:
 def gamma_index(alpha: float, lam: float) -> float:
     """Closed-form index of a gamma population with shape alpha.
 
-    Scale free, so no rate parameter appears.  lam = 0 is the analytic
-    limit handled by the Hoover closed form.
+    Scale free, so no rate parameter appears.  The ends lam = 0 and lam = 1
+    are the Hoover and Gini closed forms.
     """
     alpha = check_shape(alpha)
     lam = check_lambda(lam)
     if lam == 0.0:
         return gamma_hoover(alpha)
+    if lam == 1.0:
+        return gamma_gini(alpha)
 
     c = (1.0 - lam) * alpha
-    if lam == 1.0:
-        term1 = 0.0
-    else:
-        term1 = math.exp(alpha * math.log1p(-lam) + (alpha - 1.0) * math.log(alpha)
-                         - c - math.lgamma(alpha))
+    term1 = math.exp(alpha * math.log1p(-lam) + (alpha - 1.0) * math.log(alpha)
+                     - c - math.lgamma(alpha))
     term2 = lam * reg_gamma_q(alpha, c)
 
     upper = max(c, alpha + 40.0 * math.sqrt(alpha) + 40.0 * lam)

@@ -72,8 +72,7 @@ class ScenarioFailure:
 
 @lru_cache(maxsize=None)
 def _cached_truth(alpha: float, lam: float) -> float:
-    # the Gini end takes the closed form that the J truth of compare_i_vs_j uses
-    return gamma_gini(alpha) if lam == 1.0 else gamma_index(alpha, lam)
+    return gamma_index(alpha, lam)
 
 
 def _replication_sample(config: SimConfig, r: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 A fixed 15-point Gauss-Kronrod rule is bisected adaptively, always splitting
 the interval with the largest error estimate.  Evaluation counts and results
 are reproducible across runs: no randomness, no machine-dependent ordering.
-Integrands are called with a numpy array of nodes; a callable that only
-accepts scalars is detected once and looped over transparently.
+Integrands are called with an ndarray of nodes and must return one value
+per node, as a numpy ufunc applied elementwise does.
 """
 
 from __future__ import annotations
@@ -58,30 +58,13 @@ class QuadratureError(RuntimeError):
         self.evaluations = evaluations
 
 
-def _make_batch_eval(f):
-    # Call f with node arrays; fall back to a scalar loop if that fails once.
-    state = {"vectorized": True}
-
-    def call(xs: np.ndarray) -> np.ndarray:
-        if state["vectorized"]:
-            try:
-                ys = np.asarray(f(xs), dtype=float)
-                if ys.shape == xs.shape:
-                    return ys
-                if ys.ndim == 0:
-                    return np.full(xs.shape, float(ys))
-            except (TypeError, ValueError):
-                pass
-            state["vectorized"] = False
-        return np.array([float(f(float(t))) for t in xs])
-
-    return call
-
-
-def _apply_rule(call, lo: float, hi: float):
+def _apply_rule(f, lo: float, hi: float):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    ys = call(mid + half * _NODES)
+    ys = np.asarray(f(mid + half * _NODES), dtype=float)
+    if ys.shape != _NODES.shape:
+        raise ValueError(f"integrand must return one value per node: got shape {ys.shape} "
+                         f"for {_NODES.shape} nodes on [{lo}, {hi}]")
     if not np.isfinite(ys).all():
         raise ValueError(f"integrand returned a non-finite value on [{lo}, {hi}]")
     k = half * float(_WEIGHTS_K @ ys)
@@ -104,7 +87,6 @@ def integrate_finite(f, lo: float, hi: float,
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     if abs_tol <= 0 or rel_tol <= 0:
         raise ValueError("tolerances must be positive")
-    call = _make_batch_eval(f)
 
     pts = [lo]
     for b in sorted(float(b) for b in breakpoints):
@@ -118,7 +100,7 @@ def integrate_finite(f, lo: float, hi: float,
     total_err = 0.0
     neval = 0
     for a, b in zip(pts[:-1], pts[1:]):
-        val, err = _apply_rule(call, a, b)
+        val, err = _apply_rule(f, a, b)
         neval += 15
         heapq.heappush(heap, (-err, seq, a, b, val, err))
         seq += 1
@@ -142,8 +124,8 @@ def integrate_finite(f, lo: float, hi: float,
         if not (a < m < b):
             stuck.append((neg_err, 0, a, b, val, err))
             continue
-        lval, lerr = _apply_rule(call, a, m)
-        rval, rerr = _apply_rule(call, m, b)
+        lval, lerr = _apply_rule(f, a, m)
+        rval, rerr = _apply_rule(f, m, b)
         neval += 30
         heapq.heappush(heap, (-lerr, seq, a, m, lval, lerr))
         seq += 1
@@ -169,10 +151,9 @@ def integrate_semi_infinite(f, lo: float,
     lo = float(lo)
     if not math.isfinite(lo):
         raise ValueError(f"lower limit must be finite, got {lo!r}")
-    call = _make_batch_eval(f)
 
     def mapped(u: np.ndarray) -> np.ndarray:
         w = 1.0 - u
-        return call(lo + u / w) / (w * w)
+        return f(lo + u / w) / (w * w)
 
     return integrate_finite(mapped, 0.0, 1.0, abs_tol, rel_tol, max_intervals=max_intervals)

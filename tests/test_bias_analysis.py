@@ -6,7 +6,6 @@ from ineqbridge import (
     BiasQuery,
     GammaParams,
     bias,
-    expected_h_hat,
     expected_i_hat,
     gamma_gini,
     gamma_hoover,
@@ -38,9 +37,14 @@ class TestExpectedIHat:
         for alpha in (0.5, 1.0, 3.3):
             assert expected_i_hat(BiasQuery(alpha=alpha, lam=1.0, n=12)) == gamma_gini(alpha)
 
-    def test_zero_weight_matches_hoover_expectation(self):
-        got = expected_i_hat(BiasQuery(alpha=1.0, lam=0.0, n=10))
-        assert got == pytest.approx(expected_h_hat(1.0, 10), abs=1e-6)
+    def test_pair_hoover_matches_beta_oracle(self):
+        # n = 2, lam = 0: B = X1/(X1+X2) is Beta(alpha, alpha) and H_hat = |B - 1/2|,
+        # so E[H_hat] = Gamma(2 alpha) / (alpha 4^alpha Gamma(alpha)^2)
+        for alpha in (0.5, 1.0, 2.0, 5.0, 10.0):
+            oracle = math.exp(math.lgamma(2.0 * alpha) - math.log(alpha) - alpha * math.log(4.0)
+                              - 2.0 * math.lgamma(alpha))
+            got = expected_i_hat(BiasQuery(alpha=alpha, lam=0.0, n=2))
+            assert abs(got - oracle) <= 1e-9, alpha
 
     def test_pair_sample_degenerate_component(self):
         # n = 2 collapses the two-gamma sum to a single gamma survival
@@ -49,20 +53,21 @@ class TestExpectedIHat:
 
 class TestExpectedHHat:
     def test_exponential_pair_closed_form(self):
-        assert expected_h_hat(1.0, 2) == pytest.approx(0.25, abs=1e-9)
+        assert expected_i_hat(BiasQuery(alpha=1.0, lam=0.0, n=2)) == pytest.approx(0.25, abs=1e-9)
 
     def test_large_sample_approaches_population_value(self):
-        assert expected_h_hat(1.0, 4000) == pytest.approx(gamma_hoover(1.0), abs=2e-3)
+        got = expected_i_hat(BiasQuery(alpha=1.0, lam=0.0, n=4000))
+        assert got == pytest.approx(gamma_hoover(1.0), abs=2e-3)
 
     def test_continuity_from_interior_weights(self):
         got = expected_i_hat(BiasQuery(alpha=2.0, lam=1e-6, n=10))
-        assert got == pytest.approx(expected_h_hat(2.0, 10), abs=1e-4)
+        assert got == pytest.approx(expected_i_hat(BiasQuery(alpha=2.0, lam=0.0, n=10)), abs=1e-4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            expected_h_hat(-1.0, 10)
+            expected_i_hat(BiasQuery(alpha=-1.0, lam=0.0, n=10))
         with pytest.raises(ValueError):
-            expected_h_hat(1.0, 1)
+            expected_i_hat(BiasQuery(alpha=1.0, lam=0.0, n=1))
 
 
 class TestBias:
@@ -86,7 +91,7 @@ class TestBias:
         for alpha in (0.5, 2.0):
             for n in (10, 40):
                 got = expected_i_hat(BiasQuery(alpha=alpha, lam=1e-4, n=n))
-                assert abs(got - expected_h_hat(alpha, n)) <= 1e-3
+                assert abs(got - expected_i_hat(BiasQuery(alpha=alpha, lam=0.0, n=n))) <= 1e-3
 
     def test_bias_magnitude_shrinks_with_sample_size(self):
         table = analytic_bias_table()

@@ -32,6 +32,12 @@ class TestIndexCommand:
         assert code == 0
         assert float(out.strip()) == pytest.approx(gamma_hoover(1.0), abs=1e-6)
 
+    def test_endpoint_weights_match_endpoint_flags(self, capsys):
+        for lam, flag in (("0", "--hoover"), ("1", "--gini")):
+            _, by_weight, _ = run_cli(capsys, "index", "--alpha", "0.5", "--lambda", lam, "--digits", "13")
+            _, by_flag, _ = run_cli(capsys, "index", "--alpha", "0.5", flag, "--digits", "13")
+            assert by_weight == by_flag
+
     def test_grid(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--alpha", "2", "--grid", "5")
         assert code == 0
@@ -133,6 +139,12 @@ class TestBiasCommand:
         code, out, _ = run_cli(capsys, "bias", "--alpha", "2", "--lambda", "1", "--n", "17")
         assert code == 0
         assert "bias      0.000000" in out
+        code, out, _ = run_cli(capsys, "bias", "--alpha", "0.5", "--lambda", "1", "--n", "10",
+                               "--digits", "13")
+        assert code == 0
+        truth, expected, b = (line.split()[1] for line in out.strip().split("\n"))
+        assert truth == expected
+        assert b == "0.0000000000000"
 
     def test_reference_cell(self, capsys):
         code, out, _ = run_cli(capsys, "bias", "--alpha", "0.5", "--lambda", "0.25", "--n", "10")

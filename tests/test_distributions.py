@@ -9,13 +9,12 @@ from ineqbridge import (
     GHypoParams,
     discrete_shift_scale,
     gamma_sample,
-    gamma_survival,
     ghypo_cdf,
     reg_gamma_q,
 )
 from ineqbridge.distributions import _ghypo_cdf_convolution
 
-from helpers import erfc_series, hypoexp_cdf
+from helpers import hypoexp_cdf
 
 
 class TestParams:
@@ -32,22 +31,6 @@ class TestParams:
             GHypoParams(1.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             GHypoParams(1.0, 1.0, 1.0, math.nan)
-
-
-class TestGammaSurvival:
-    def test_exponential_median(self):
-        assert gamma_survival(GammaParams(1.0, 1.0), math.log(2.0)) == pytest.approx(0.5, abs=1e-14)
-
-    def test_at_zero(self):
-        assert gamma_survival(GammaParams(2.0, 1.0), 0.0) == 1.0
-
-    def test_half_shape_vs_erfc_oracle(self):
-        got = gamma_survival(GammaParams(0.5, 2.0), 0.5)
-        assert got == pytest.approx(erfc_series(1.0), abs=1e-12)
-
-    def test_negative_x_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_survival(GammaParams(1.0, 1.0), -0.5)
 
 
 class TestGammaSample:
@@ -82,7 +65,7 @@ class TestGammaSample:
             w = np.exp(-z * x) * (x <= t)
             est = w.mean() / lap
             se = w.std(ddof=1) / (lap * math.sqrt(x.size))
-            assert abs(est - (1.0 - gamma_survival(tilted, t))) <= 4.0 * se
+            assert abs(est - (1.0 - reg_gamma_q(tilted.alpha, tilted.beta * t))) <= 4.0 * se
 
 
 class TestGHypoCdf:

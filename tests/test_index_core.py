@@ -12,10 +12,10 @@ from ineqbridge import (
     gamma_hoover,
     gamma_index,
     gamma_sample,
-    gamma_survival,
     integral_index,
     j_index,
     lambda_path,
+    reg_gamma_q,
 )
 
 from helpers import random_discrete
@@ -55,11 +55,11 @@ class TestDiscreteIndex:
 
 class TestIntegralIndex:
     def test_exponential_gini(self):
-        got = integral_index(lambda t: gamma_survival(GammaParams(1.0, 1.0), t), 1.0, 1.0)
+        got = integral_index(lambda t: reg_gamma_q(1.0, t), 1.0, 1.0)
         assert got == pytest.approx(0.5, abs=1e-9)
 
     def test_gamma_tabulated_value(self):
-        got = integral_index(lambda t: gamma_survival(GammaParams(2.0, 1.0), t), 2.0, 0.5)
+        got = integral_index(lambda t: reg_gamma_q(2.0, t), 2.0, 0.5)
         assert got == pytest.approx(0.2998, abs=5e-5)
 
     def test_matches_discrete_oracle(self):
@@ -93,9 +93,8 @@ class TestGammaClosedForms:
 
     def test_gamma_consistency_with_integral_route(self):
         for alpha in (0.5, 1.0, 2.0, 5.0, 10.0):
-            p = GammaParams(alpha, 1.0)
             for lam in (0.25, 0.5, 0.75, 1.0):
-                via_integral = integral_index(lambda t: gamma_survival(p, t), alpha, lam)
+                via_integral = integral_index(lambda t: reg_gamma_q(alpha, t), alpha, lam)
                 assert gamma_index(alpha, lam) == pytest.approx(via_integral, abs=1e-8)
 
     def test_hoover_values(self):
@@ -110,7 +109,10 @@ class TestGammaClosedForms:
     def test_gini_values(self):
         assert gamma_gini(1.0) == pytest.approx(0.5, abs=1e-15)
         assert gamma_gini(0.5) == pytest.approx(2.0 / math.pi, abs=1e-15)
-        assert gamma_index(5.0, 1.0) == pytest.approx(gamma_gini(5.0), abs=1e-8)
+        for alpha in (0.5, 1.0, 2.0, 5.0, 10.0):
+            assert gamma_index(alpha, 1.0) == gamma_gini(alpha)
+            # the closed form's own approach to the Gini end
+            assert abs(gamma_index(alpha, 1.0 - 1e-9) - gamma_gini(alpha)) <= 1e-8
 
     def test_domain(self):
         with pytest.raises(ValueError):

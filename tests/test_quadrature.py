@@ -27,9 +27,9 @@ class TestFinite:
         r = integrate_finite(lambda t: reg_gamma_q(2.0, t), 0.0, 200.0)
         assert r.value == pytest.approx(2.0, abs=1e-8)
 
-    def test_scalar_only_integrand_fallback(self):
-        r = integrate_finite(lambda t: math.exp(-t), 0.0, 50.0)
-        assert r.value == pytest.approx(1.0, abs=1e-9)
+    def test_scalar_integrand_rejected(self):
+        with pytest.raises(ValueError, match=r"one value per node: got shape \(\) for \(15,\)"):
+            integrate_finite(lambda t: 1.0, 0.0, 50.0)
 
     def test_degenerate_interval(self):
         r = integrate_finite(lambda t: np.exp(t), 3.0, 3.0)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ineqbridge import BiasQuery, SimConfig, expected_h_hat, gamma_gini, gamma_hoover, gamma_index
+from ineqbridge import BiasQuery, SimConfig, gamma_gini, gamma_hoover, gamma_index
 
 # every public entry point that takes a shape, a weight or a sample size,
 # with the parameters it takes
@@ -10,7 +10,6 @@ ENTRY_POINTS = [
     ("gamma_index", lambda alpha, lam, n: gamma_index(alpha, lam), {"alpha", "lam"}),
     ("gamma_hoover", lambda alpha, lam, n: gamma_hoover(alpha), {"alpha"}),
     ("gamma_gini", lambda alpha, lam, n: gamma_gini(alpha), {"alpha"}),
-    ("expected_h_hat", lambda alpha, lam, n: expected_h_hat(alpha, n), {"alpha", "n"}),
     ("BiasQuery", lambda alpha, lam, n: BiasQuery(alpha=alpha, lam=lam, n=n), {"alpha", "lam", "n"}),
     ("SimConfig", lambda alpha, lam, n: SimConfig(alpha=alpha, lam=lam, n=n, reps=10, seed=1),
      {"alpha", "lam", "n"}),
