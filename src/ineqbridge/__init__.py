@@ -17,7 +17,6 @@ from .distributions import (
     DiscreteDist,
     GammaParams,
     GHypoParams,
-    discrete_shift_scale,
     gamma_sample,
     ghypo_cdf,
 )
@@ -56,8 +55,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BiasQuery", "TiltingCheck", "bias", "expected_i_hat",
     "tilting_lemma_check",
-    "DiscreteDist", "GammaParams", "GHypoParams", "discrete_shift_scale",
-    "gamma_sample", "ghypo_cdf",
+    "DiscreteDist", "GammaParams", "GHypoParams", "gamma_sample",
+    "ghypo_cdf",
     "SummaryStats", "g_hat", "h_hat", "i_hat", "i_hat_fast", "summarize",
     "discrete_index", "gamma_gini", "gamma_hoover", "gamma_index",
     "integral_index", "j_index", "lambda_path",

@@ -143,8 +143,9 @@ def _read_column(path: str, column: str, quiet: bool) -> list[float]:
     return values
 
 
-def _write_svg(path: str, points, width: int = 640, height: int = 400) -> None:
+def _write_svg(path: str, points) -> None:
     # minimal static line plot: one polyline, axis ticks at multiples of 0.25
+    width, height = 640, 400
     left, right, top, bottom = 60.0, 20.0, 20.0, 50.0
     plot_w = width - left - right
     plot_h = height - top - bottom

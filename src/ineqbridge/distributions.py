@@ -24,7 +24,6 @@ __all__ = [
     "DiscreteDist",
     "gamma_sample",
     "ghypo_cdf",
-    "discrete_shift_scale",
 ]
 
 _PHI2_BUDGET = 4.0e4  # series length scale (x + y) above which convolution wins
@@ -42,10 +41,6 @@ class GammaParams:
             raise ValueError(f"gamma shape must be finite and > 0, got {self.alpha!r}")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError(f"gamma rate must be finite and > 0, got {self.beta!r}")
-
-    @property
-    def mean(self) -> float:
-        return self.alpha / self.beta
 
 
 @dataclass(frozen=True)
@@ -205,14 +200,3 @@ def ghypo_cdf(g: GHypoParams, t):
     if scalar:
         return float(out[0])
     return out.reshape(ta.shape)
-
-
-def discrete_shift_scale(d: DiscreteDist, a: float, c: float = 0.0) -> DiscreteDist:
-    """Map atom values v to a*v + c, keeping probabilities."""
-    a = float(a)
-    c = float(c)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"scale factor must be finite and > 0, got {a!r}")
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError(f"shift must be finite and >= 0, got {c!r}")
-    return DiscreteDist([(a * v + c, p) for v, p in d.atoms])

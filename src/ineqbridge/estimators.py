@@ -60,7 +60,7 @@ def _hoover(x, n, xbar):
 def _gini(x, n, xbar):
     xs = np.sort(x)
     # sum_{i<j} |Xi - Xj| = sum_k (2k - n + 1) * x_(k) over the sorted sample
-    pair_sum = math.fsum(((2 * k - n + 1) * xs[k] for k in range(n)))
+    pair_sum = math.fsum(((2.0 * np.arange(n) - (n - 1)) * xs).tolist())
     return pair_sum / (n * (n - 1) * xbar)
 
 

@@ -71,8 +71,7 @@ def discrete_index(d: DiscreteDist, lam: float) -> float:
 
 
 def integral_index(survival, mean: float, lam: float, *,
-                   x_breakpoints=(), x_upper=None,
-                   abs_tol: float = 1e-11, rel_tol: float = 1e-9) -> float:
+                   x_breakpoints=(), x_upper=None) -> float:
     """Index from the survival function of a non-negative distribution.
 
     `survival(t)` is called elementwise on an ndarray t and must return
@@ -82,9 +81,8 @@ def integral_index(survival, mean: float, lam: float, *,
     finite; both stay None/empty for continuous unbounded distributions.
 
     Evaluates (1/mu) * int_0^inf F(t) * S_Y(t) dt where Y = lam*X2 +
-    (1-lam)*mu, S_Y(t) = 1 below (1-lam)*mu and survival((t-c)/lam) above.
-    The lam = 0 case integrates F over [0, mu] directly (the change of
-    variables above is singular there).
+    (1-lam)*mu, S_Y(t) = 1 below c = (1-lam)*mu and survival((t-c)/lam)
+    above.  At lam = 0, Y is the constant mu, so the integral stops at c.
     """
     lam = check_lambda(lam)
     mean = float(mean)
@@ -95,28 +93,24 @@ def integral_index(survival, mean: float, lam: float, *,
         return 1.0 - survival(t)
 
     bps = sorted(float(b) for b in x_breakpoints)
-    if lam == 0.0:
-        res = integrate_finite(cdf_left, 0.0, mean, abs_tol, rel_tol,
-                               breakpoints=[b for b in bps if 0.0 < b < mean])
-        return res.value / mean
-
     c = (1.0 - lam) * mean
     part1 = 0.0
     if c > 0.0:
-        res1 = integrate_finite(cdf_left, 0.0, c, abs_tol, rel_tol,
-                                breakpoints=[b for b in bps if 0.0 < b < c])
-        part1 = res1.value
+        part1 = integrate_finite(cdf_left, 0.0, c,
+                                 breakpoints=[b for b in bps if 0.0 < b < c]).value
+    if lam == 0.0:
+        return part1 / mean
 
     def tail_integrand(t):
         u = np.maximum(np.asarray(t, dtype=float) - c, 0.0) / lam
         return cdf_left(t) * survival(u)
 
     if x_upper is None:
-        res2 = integrate_semi_infinite(tail_integrand, c, abs_tol, rel_tol)
+        res2 = integrate_semi_infinite(tail_integrand, c)
     else:
         hi = c + lam * float(x_upper)
         cuts = sorted({b for b in bps if c < b < hi} | {c + lam * b for b in bps if c < c + lam * b < hi})
-        res2 = integrate_finite(tail_integrand, c, hi, abs_tol, rel_tol, breakpoints=cuts)
+        res2 = integrate_finite(tail_integrand, c, hi, breakpoints=cuts)
     return (part1 + res2.value) / mean
 
 
@@ -144,14 +138,19 @@ def gamma_index(alpha: float, lam: float) -> float:
     term2 = lam * reg_gamma_q(alpha, c)
 
     upper = max(c, alpha + 40.0 * math.sqrt(alpha) + 40.0 * lam)
-    while _gamma_q_tail(alpha, upper) > 1e-13:
+    for _ in range(100):  # bounded: 100 steps of 1.5 widen the start by ~4e17
+        if not _gamma_q_tail(alpha, upper) > 1e-13:
+            break
         upper *= 1.5
+    else:
+        raise RuntimeError("gamma index tail search found no cut-off within 100 steps "
+                           f"for shape {alpha!r} and weight {lam!r}")
 
     def integrand(t):
         u = np.maximum(np.asarray(t, dtype=float) - c, 0.0) / lam
         return reg_gamma_q(alpha, t) * reg_gamma_q(alpha, u)
 
-    res = integrate_finite(integrand, c, upper, abs_tol=1e-11, rel_tol=1e-9)
+    res = integrate_finite(integrand, c, upper)
     return term1 + term2 - res.value / alpha
 
 

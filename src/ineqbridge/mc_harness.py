@@ -2,15 +2,14 @@
 
 Each scenario fixes (shape, weight, sample size, replication count, seed);
 every replication r draws its sample from a generator derived
-deterministically from (seed, r), so results are bit-identical regardless
-of execution order or worker count.  The truth is the gamma closed form,
-computed once per scenario.
+deterministically from (seed, r), so results depend only on (seed, r) and
+not on the order in which replications or scenarios run.  The truth is the
+gamma closed form, computed once per scenario.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,7 +60,10 @@ class SimSummary:
     bias: float
     mse: float
     variance: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:  # a single replication has no variance information
+        return self.config.reps == 1
 
 
 @dataclass(frozen=True)
@@ -92,30 +94,22 @@ def run_scenario(config: SimConfig) -> SimSummary:
     estimates = _replicate(config, lambda x: i_hat_fast(x, config.lam))
     stats = summarize(estimates, truth)
     return SimSummary(config=config, truth=truth, mean=stats.mean, bias=stats.bias,
-                      mse=stats.mse, variance=stats.variance,
-                      degenerate=config.reps == 1)
+                      mse=stats.mse, variance=stats.variance)
 
 
-def _run_scenario_safe(config: SimConfig):
-    try:
-        return run_scenario(config)
-    except Exception as exc:
-        return ScenarioFailure(config=config, message=f"{type(exc).__name__}: {exc}")
-
-
-def run_grid(grid, max_workers: int | None = None) -> list:
-    """Run scenarios in input order, collecting failures instead of raising.
-
-    Scenario results depend only on their configs, so any worker count
-    produces identical output.
-    """
+def run_grid(grid) -> list:
+    """Run scenarios one after another in input order, collecting failures
+    instead of raising."""
     grid = list(grid)
     if not grid:
         raise ValueError("scenario grid is empty")
-    if max_workers is not None and max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_run_scenario_safe, grid))
-    return [_run_scenario_safe(c) for c in grid]
+    out = []
+    for config in grid:
+        try:
+            out.append(run_scenario(config))
+        except Exception as exc:
+            out.append(ScenarioFailure(config=config, message=f"{type(exc).__name__}: {exc}"))
+    return out
 
 
 def compare_i_vs_j(config: SimConfig) -> tuple[float, float]:

@@ -58,13 +58,18 @@ class QuadratureError(RuntimeError):
         self.evaluations = evaluations
 
 
+def _node_values(f, t: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    ys = np.asarray(f(t), dtype=float)
+    if ys.shape != t.shape:
+        raise ValueError(f"integrand must return one value per node: got shape {ys.shape} "
+                         f"for {t.shape} nodes on [{lo}, {hi}]")
+    return ys
+
+
 def _apply_rule(f, lo: float, hi: float):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    ys = np.asarray(f(mid + half * _NODES), dtype=float)
-    if ys.shape != _NODES.shape:
-        raise ValueError(f"integrand must return one value per node: got shape {ys.shape} "
-                         f"for {_NODES.shape} nodes on [{lo}, {hi}]")
+    ys = _node_values(f, mid + half * _NODES, lo, hi)
     if not np.isfinite(ys).all():
         raise ValueError(f"integrand returned a non-finite value on [{lo}, {hi}]")
     k = half * float(_WEIGHTS_K @ ys)
@@ -140,13 +145,11 @@ def integrate_finite(f, lo: float, hi: float,
     return QuadResult(value=value, abs_error_estimate=err_bound, evaluations=neval)
 
 
-def integrate_semi_infinite(f, lo: float,
-                            abs_tol: float = DEFAULT_ABS_TOL, rel_tol: float = DEFAULT_REL_TOL,
-                            *, max_intervals: int = MAX_INTERVALS) -> QuadResult:
-    """Integrate a decaying f over [lo, infinity).
+def integrate_semi_infinite(f, lo: float) -> QuadResult:
+    """Integrate a decaying f over [lo, infinity) to the default tolerances.
 
     Uses t = lo + u/(1-u), u in [0, 1); the Jacobian 1/(1-u)^2 is folded
-    into the transformed integrand.
+    into the transformed integrand, after f's one-value-per-node check.
     """
     lo = float(lo)
     if not math.isfinite(lo):
@@ -154,6 +157,6 @@ def integrate_semi_infinite(f, lo: float,
 
     def mapped(u: np.ndarray) -> np.ndarray:
         w = 1.0 - u
-        return f(lo + u / w) / (w * w)
+        return _node_values(f, lo + u / w, lo, math.inf) / (w * w)
 
-    return integrate_finite(mapped, 0.0, 1.0, abs_tol, rel_tol, max_intervals=max_intervals)
+    return integrate_finite(mapped, 0.0, 1.0)

@@ -7,7 +7,6 @@ from ineqbridge import (
     DiscreteDist,
     GammaParams,
     GHypoParams,
-    discrete_shift_scale,
     gamma_sample,
     ghypo_cdf,
     reg_gamma_q,
@@ -150,24 +149,3 @@ class TestDiscreteDist:
     def test_mean(self):
         d = DiscreteDist([(0.0, 0.5), (2.0, 0.5)])
         assert d.mean() == 1.0
-
-
-class TestShiftScale:
-    def test_identity(self):
-        d = DiscreteDist([(1.0, 0.5), (3.0, 0.5)])
-        assert discrete_shift_scale(d, 1.0, 0.0) == d
-
-    def test_scale(self):
-        d = DiscreteDist([(1.0, 0.5), (3.0, 0.5)])
-        assert discrete_shift_scale(d, 2.0, 0.0) == DiscreteDist([(2.0, 0.5), (6.0, 0.5)])
-
-    def test_shift(self):
-        d = DiscreteDist([(1.0, 0.5), (3.0, 0.5)])
-        assert discrete_shift_scale(d, 1.0, 1.0) == DiscreteDist([(2.0, 0.5), (4.0, 0.5)])
-
-    def test_domain_errors(self):
-        d = DiscreteDist([(1.0, 1.0)])
-        with pytest.raises(ValueError):
-            discrete_shift_scale(d, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            discrete_shift_scale(d, 1.0, -1.0)

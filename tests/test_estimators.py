@@ -60,6 +60,18 @@ class TestHooverGiniHats:
         assert g_hat([7.0] * 6) == 0.0
         assert g_hat([0.0] * 9 + [1.0]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_g_hat_equals_rank_weighted_loop(self):
+        # the vectorized weights do the loop's arithmetic, so equality is exact
+        rng = np.random.default_rng(12)
+        for k in range(200):
+            n = int(rng.integers(2, 300))
+            x = rng.gamma(float(rng.uniform(0.2, 5.0)), 10.0 ** rng.uniform(-8, 8), size=n)
+            if k % 4 == 0:
+                x = np.round(x / x.max(), 1) * x.max()  # ties
+            xs = np.sort(x)
+            pair_sum = math.fsum((2 * i - n + 1) * xs[i] for i in range(n))
+            assert g_hat(x) == pair_sum / (n * (n - 1) * (math.fsum(x.tolist()) / n))
+
     def test_g_hat_needs_pairs(self):
         with pytest.raises(ValueError):
             g_hat([1.0])

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import ineqbridge.index_core as index_core
 from ineqbridge import (
     DiscreteDist,
     GammaParams,
     discrete_index,
-    discrete_shift_scale,
     gamma_gini,
     gamma_hoover,
     gamma_index,
@@ -114,6 +114,11 @@ class TestGammaClosedForms:
             # the closed form's own approach to the Gini end
             assert abs(gamma_index(alpha, 1.0 - 1e-9) - gamma_gini(alpha)) <= 1e-8
 
+    def test_tail_search_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(index_core, "_gamma_q_tail", lambda alpha, t: 1.0)
+        with pytest.raises(RuntimeError, match=r"within 100 steps for shape 2\.0 and weight 0\.5"):
+            gamma_index(2.0, 0.5)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             gamma_index(0.0, 0.5)
@@ -180,7 +185,7 @@ class TestIndexProperties:
         rng = np.random.default_rng(78)
         d = random_discrete(rng, 6)
         for a in (0.5, 3.0, 100.0):
-            scaled = discrete_shift_scale(d, a, 0.0)
+            scaled = DiscreteDist([(a * v, p) for v, p in d.atoms])
             for lam in (0.0, 0.4, 1.0):
                 assert discrete_index(scaled, lam) == pytest.approx(
                     discrete_index(d, lam), abs=1e-12)
@@ -190,7 +195,7 @@ class TestIndexProperties:
         d = random_discrete(rng, 5)
         mu = d.mean()
         for c in (0.5, 2.0, 10.0):
-            shifted = discrete_shift_scale(d, 1.0, c)
+            shifted = DiscreteDist([(v + c, p) for v, p in d.atoms])
             for lam in (0.0, 0.6, 1.0):
                 assert discrete_index(shifted, lam) == pytest.approx(
                     mu / (mu + c) * discrete_index(d, lam), abs=1e-10)

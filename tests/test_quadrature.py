@@ -79,6 +79,11 @@ class TestSemiInfinite:
         r = integrate_semi_infinite(lambda t: np.exp(-t), 2.0)
         assert r.value == pytest.approx(math.exp(-2.0), rel=1e-9)
 
+    def test_scalar_integrand_rejected(self):
+        # the Jacobian array must not broadcast a scalar to every node
+        with pytest.raises(ValueError, match=r"one value per node: got shape \(\) for \(15,\)"):
+            integrate_semi_infinite(lambda t: float(np.exp(-t).mean()), 0.0)
+
 
 class TestErrorBoundAndSplitting:
     CASES = [
