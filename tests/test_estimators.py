@@ -24,6 +24,16 @@ samples = st.lists(
 weights = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+@st.composite
+def sample_blocks(draw):
+    """(R, n) blocks of samples: all-zero rows, ties, scales 1e-8 to 1e8."""
+    r, n = draw(st.integers(1, 6)), draw(st.integers(2, 30))
+    cell = st.one_of(st.just(0.0), st.integers(1, 4).map(float), st.floats(min_value=1e-3, max_value=1e3))
+    row = st.one_of(st.just([0.0] * n), st.lists(cell, min_size=n, max_size=n))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    return scale * np.array(draw(st.lists(row, min_size=r, max_size=r)))
+
+
 class TestIHat:
     def test_constant_sample_is_zero(self):
         for lam in (0.0, 0.25, 1.0):
@@ -149,6 +159,16 @@ class TestEstimatorProperties:
         f = i_hat_fast(values, lam)
         q = i_hat(values, lam)
         assert abs(f - q) <= 1e-10 * max(1.0, abs(q))
+
+
+class TestBlocks:
+    @given(sample_blocks(), st.one_of(st.sampled_from([0.0, 1e-12, 1.0]), weights))
+    @settings(max_examples=80, deadline=None)
+    def test_block_equals_rows_exactly(self, x, lam):
+        for est in (lambda v: i_hat_fast(v, lam), h_hat, g_hat, lambda v: i_hat(v, lam)):
+            got = est(x)
+            assert isinstance(got, np.ndarray) and got.shape == (len(x),)
+            assert got.tolist() == [est(row) for row in x]
 
 
 class TestSummarize:

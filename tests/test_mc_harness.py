@@ -1,14 +1,25 @@
+import math
+
+import numpy as np
 import pytest
 
 import ineqbridge.mc_harness as mc
 from ineqbridge import (
     ScenarioFailure,
     SimConfig,
+    SimSummary,
     compare_i_vs_j,
     format_table,
+    g_hat,
+    gamma_gini,
+    gamma_hoover,
     gamma_index,
+    h_hat,
+    i_hat_fast,
+    j_index,
     run_grid,
     run_scenario,
+    summarize,
     write_csv,
 )
 
@@ -25,6 +36,10 @@ class TestSimConfig:
             SimConfig(alpha=1.0, lam=0.5, n=10, reps=0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(alpha=1.0, lam=0.5, n=10, reps=10, seed=-1)
+        with pytest.raises(ValueError):
+            SimConfig(alpha=1.0, lam=0.5, n=10, reps=math.inf, seed=1)
+        with pytest.raises(ValueError):
+            SimConfig(alpha=1.0, lam=0.5, n=10, reps=10, seed=math.nan)
 
 
 class TestRunScenario:
@@ -56,6 +71,37 @@ class TestRunScenario:
         assert abs(s.mean - 0.3001) <= 0.004
         assert abs(s.bias - 0.0003) <= 0.004
         assert 0.85 * 0.0010 <= s.variance <= 1.18 * 0.0010
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("reps", [1, 63, 64, 65, 130])
+    def test_equals_one_replication_at_a_time(self, reps):
+        c = SimConfig(alpha=0.5, lam=0.3, n=12, reps=reps, seed=17)
+        samples = [mc._replication_sample(c, r) for r in range(reps)]
+        est_i = [i_hat_fast(x, c.lam) for x in samples]
+        est_j = [(1.0 - c.lam) * h_hat(x) + c.lam * g_hat(x) for x in samples]
+        truth_i = gamma_index(c.alpha, c.lam)
+        truth_j = j_index(gamma_hoover(c.alpha), gamma_gini(c.alpha), c.lam)
+        assert run_scenario(c) == SimSummary(c, truth_i, *summarize(est_i, truth_i))
+        assert compare_i_vs_j(c) == (math.fsum(est_i) / reps - truth_i, math.fsum(est_j) / reps - truth_j)
+
+    def test_blocks_hold_at_most_64_rows(self, monkeypatch):
+        # the block height bounds a scenario's peak memory
+        shapes = []
+
+        def recording(estimator):
+            def recorded(x, *args):
+                shapes.append(np.shape(x))
+                return estimator(x, *args)
+            return recorded
+
+        for name in ("i_hat_fast", "h_hat", "g_hat"):
+            monkeypatch.setattr(mc, name, recording(getattr(mc, name)))
+        c = SimConfig(alpha=2.0, lam=0.5, n=10, reps=130, seed=3)
+        run_scenario(c)
+        compare_i_vs_j(c)
+        assert all(len(shape) == 2 and shape[0] <= 64 and shape[1] == 10 for shape in shapes), shapes
+        assert sum(shape[0] for shape in shapes) == 4 * 130  # i_hat_fast twice, h_hat, g_hat
 
 
 class TestRunGrid:

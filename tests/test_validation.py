@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from ineqbridge import BiasQuery, SimConfig, gamma_gini, gamma_hoover, gamma_index
+from ineqbridge import (BiasQuery, SimConfig, g_hat, gamma_gini, gamma_hoover, gamma_index, h_hat,
+                        i_hat, i_hat_fast, run_scenario)
 
 # every public entry point that takes a shape, a weight or a sample size,
 # with the parameters it takes
@@ -33,3 +35,24 @@ def test_bad_input_gives_one_message_from_every_entry(param, bad, message):
         with pytest.raises(ValueError) as exc:
             call(**args)
         assert str(exc.value) == message, name
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3, 4)])
+def test_sample_shape_gives_one_message_from_every_estimator(shape):
+    # one sample is 1-D, a block of samples is 2-D with one sample per row
+    estimators = [("i_hat", lambda v: i_hat(v, 0.5)), ("i_hat_fast", lambda v: i_hat_fast(v, 0.5)),
+                  ("h_hat", h_hat), ("g_hat", g_hat)]
+    for name, est in estimators:
+        with pytest.raises(ValueError) as exc:
+            est(np.ones(shape))
+        assert str(exc.value) == f"sample must be 1-D, or 2-D with one sample per row, got shape {shape}", name
+
+
+@pytest.mark.parametrize("field", ["n", "reps", "seed"])
+def test_sim_config_stores_whole_numbers_as_int(field):
+    args = {"alpha": 1.0, "lam": 0.5, "n": 10, "reps": 10, "seed": 1}
+    whole = SimConfig(**args)
+    args[field] = float(args[field])
+    config = SimConfig(**args)
+    assert type(getattr(config, field)) is int
+    assert run_scenario(config) == run_scenario(whole)
