@@ -87,6 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_index(args) -> int:
     digits = args.digits if args.digits is not None else 6
+    lam = 0.0 if args.hoover else 1.0 if args.gini else args.lam
+    where = f"grid={args.grid}" if args.grid is not None else f"lambda={lam}"
     try:
         if args.grid is not None:
             points = lambda_path(lambda lam: gamma_index(args.alpha, lam), args.grid)
@@ -94,10 +96,9 @@ def _cmd_index(args) -> int:
             for lam, value in points:
                 print(f"{lam:g},{value:.{digits}f}")
         else:
-            lam = 0.0 if args.hoover else 1.0 if args.gini else args.lam
             print(f"{gamma_index(args.alpha, lam):.{digits}f}")
     except (ValueError, RuntimeError, OverflowError) as exc:
-        print(f"error: alpha={args.alpha} lambda={getattr(args, 'lam', None)}: {exc}", file=sys.stderr)
+        print(f"error: alpha={args.alpha} {where}: {exc}", file=sys.stderr)
         return 1
     return 0
 

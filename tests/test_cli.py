@@ -21,6 +21,9 @@ class TestIndexCommand:
         code, out, _ = run_cli(capsys, "index", "--alpha", "0.5", "--lambda", "0.25")
         assert code == 0
         assert abs(float(out.strip()) - 0.4959) <= 5e-5
+        code, out, _ = run_cli(capsys, "index", "--alpha", "50", "--lambda", "0.01")
+        assert code == 0
+        assert out.strip() == "0.056328"
 
     def test_gini_flag(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--alpha", "1", "--gini")
@@ -56,6 +59,14 @@ class TestIndexCommand:
         code, _, err = run_cli(capsys, "index", "--alpha", "-3", "--lambda", "0.5")
         assert code == 1
         assert "alpha" in err
+
+    def test_failure_names_weight_or_grid(self, capsys):
+        for mode, named in ((["--hoover"], "lambda=0.0:"), (["--gini"], "lambda=1.0:"),
+                            (["--lambda", "0.5"], "lambda=0.5:"), (["--grid", "3"], "grid=3:")):
+            code, _, err = run_cli(capsys, "index", "--alpha", "-1", *mode)
+            assert code == 1
+            assert err.startswith(f"error: alpha=-1.0 {named} "), err
+            assert "shape must be" in err
 
 
 class TestEstimateCommand:
@@ -151,6 +162,10 @@ class TestBiasCommand:
         assert code == 0
         b = float(out.strip().split("\n")[2].split()[1])
         assert abs(b - (-0.0156)) <= 0.009
+        code, out, _ = run_cli(capsys, "bias", "--alpha", "10", "--lambda", "0.01", "--n", "10")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[1:] == ["E[I_hat]  0.118816", "bias      -0.006300"]
 
     def test_pair_hoover_expectation(self, capsys):
         code, out, _ = run_cli(capsys, "bias", "--alpha", "1", "--lambda", "0", "--n", "2")

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import ineqbridge.index_core as index_core
 from ineqbridge import (
     DiscreteDist,
     GammaParams,
@@ -18,7 +17,7 @@ from ineqbridge import (
     reg_gamma_q,
 )
 
-from helpers import random_discrete
+from helpers import mp_gamma_index, random_discrete
 
 import mpmath as mp
 
@@ -93,7 +92,7 @@ class TestGammaClosedForms:
 
     def test_gamma_consistency_with_integral_route(self):
         for alpha in (0.5, 1.0, 2.0, 5.0, 10.0):
-            for lam in (0.25, 0.5, 0.75, 1.0):
+            for lam in (1e-4, 1e-3, 0.01, 0.25, 0.5, 0.75, 1.0):
                 via_integral = integral_index(lambda t: reg_gamma_q(alpha, t), alpha, lam)
                 assert gamma_index(alpha, lam) == pytest.approx(via_integral, abs=1e-8)
 
@@ -104,7 +103,20 @@ class TestGammaClosedForms:
         assert gamma_hoover(0.5) == pytest.approx(ref, rel=1e-14)
 
     def test_hoover_is_small_lambda_limit(self):
-        assert gamma_index(2.0, 1e-4) == pytest.approx(gamma_hoover(2.0), abs=1e-3)
+        assert gamma_index(2.0, 1e-4) == pytest.approx(gamma_hoover(2.0), abs=1e-8)
+
+    def test_small_weights_match_oracle(self):
+        for alpha in (1e-3, 0.5, 2.0, 50.0, 1e3):
+            for lam in (1e-8, 1e-6, 1e-4, 1e-3, 0.01):
+                assert gamma_index(alpha, lam) == pytest.approx(mp_gamma_index(alpha, lam), abs=1e-10)
+
+    def test_non_decreasing_in_weight(self):
+        # I(lam) = E|A + lam B| / (2 mu) with A, B independent and centred is
+        # convex in lam with zero slope at 0, so it never decreases
+        lams = (0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.02, 0.05, 0.25, 0.5, 1.0)
+        for alpha in (0.5, 2.0, 10.0, 50.0, 1e3):
+            vals = [gamma_index(alpha, lam) for lam in lams]
+            assert vals == sorted(vals), alpha
 
     def test_gini_values(self):
         assert gamma_gini(1.0) == pytest.approx(0.5, abs=1e-15)
@@ -113,11 +125,6 @@ class TestGammaClosedForms:
             assert gamma_index(alpha, 1.0) == gamma_gini(alpha)
             # the closed form's own approach to the Gini end
             assert abs(gamma_index(alpha, 1.0 - 1e-9) - gamma_gini(alpha)) <= 1e-8
-
-    def test_tail_search_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(index_core, "_gamma_q_tail", lambda alpha, t: 1.0)
-        with pytest.raises(RuntimeError, match=r"within 100 steps for shape 2\.0 and weight 0\.5"):
-            gamma_index(2.0, 0.5)
 
     def test_domain(self):
         with pytest.raises(ValueError):
