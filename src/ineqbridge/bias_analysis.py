@@ -101,7 +101,7 @@ def expected_i_hat(q: BiasQuery) -> float:
 
     start = max(mean_sum + 10.0 * sd_sum, scale_q * (alpha + 10.0 * math.sqrt(alpha)), 10.0)
     upper = _upper_cut(integrand, start)
-    res = integrate_finite(integrand, 0.0, upper, abs_tol=_BIAS_ABS_TOL, rel_tol=1e-9)
+    res = integrate_finite(integrand, 0.0, upper, abs_tol=_BIAS_ABS_TOL)
     return (1.0 + (lam - 1.0) / n) - res.value / (n * alpha)
 
 

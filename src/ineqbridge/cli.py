@@ -39,9 +39,15 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _digits(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=None, help="output decimal places")
+    common.add_argument("--digits", type=_digits, default=None, help="output decimal places")
     common.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
 
     parser = argparse.ArgumentParser(prog="ineqbridge",
@@ -185,12 +191,19 @@ def _write_svg(path: str, points) -> None:
 def _cmd_estimate(args) -> int:
     digits = args.digits if args.digits is not None else 3
     try:
+        if args.svg and args.path is None:
+            raise ValueError("--svg requires --path")
         lambdas = _float_list(args.lambdas)
         values = _read_column(args.input, args.column, args.quiet)
         rows = [("Hoover", h_hat(values))]
         for lam in sorted(lambdas):
             rows.append((f"I_{lam:g}", i_hat_fast(values, lam)))
         rows.append(("Gini", g_hat(values)))
+        # every step that can fail runs before the first line is printed
+        if args.path is not None:
+            points = lambda_path(lambda lam: i_hat_fast(values, lam), args.path)
+            if args.svg:
+                _write_svg(args.svg, points)
         if args.format == "csv":
             print("Measure,Value")
             for name, value in rows:
@@ -201,14 +214,9 @@ def _cmd_estimate(args) -> int:
             for name, value in rows:
                 print(f"{name:<{name_w}}  {value:.{digits}f}")
         if args.path is not None:
-            points = lambda_path(lambda lam: i_hat_fast(values, lam), args.path)
             print("lambda,value")
             for lam, value in points:
                 print(f"{lam:g},{value:.{digits}f}")
-            if args.svg:
-                _write_svg(args.svg, points)
-        elif args.svg:
-            raise ValueError("--svg requires --path")
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -281,16 +289,9 @@ def _cmd_simulate(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "index":
-        return _cmd_index(args)
-    if args.command == "estimate":
-        return _cmd_estimate(args)
-    if args.command == "bias":
-        return _cmd_bias(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    commands = {"index": _cmd_index, "estimate": _cmd_estimate, "bias": _cmd_bias,
+                "simulate": _cmd_simulate}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -157,7 +157,7 @@ def _ghypo_cdf_convolution(g: GHypoParams, t: float) -> float:
         dens = np.exp(lc + (ac - 1.0) * np.log(u) - bc * u)
         return dens * (1.0 - reg_gamma_q(ao, bo * (t - u)))
 
-    res = integrate_finite(integrand, 0.0, hi, abs_tol=1e-9, rel_tol=1e-9)
+    res = integrate_finite(integrand, 0.0, hi, abs_tol=1e-9)
     return min(max(res.value, 0.0), 1.0)
 
 

@@ -107,7 +107,7 @@ def integral_index(survival, mean: float, lam: float, *,
         return cdf_left(c + lam * s) * survival(s)
 
     if x_upper is None:
-        res2 = integrate_semi_infinite(tail_integrand, 0.0)
+        res2 = integrate_semi_infinite(tail_integrand)
     else:
         cuts = set(bps) | {(b - c) / lam for b in bps}
         res2 = integrate_finite(tail_integrand, 0.0, float(x_upper), breakpoints=cuts)

@@ -138,11 +138,22 @@ class TestEstimateCommand:
         assert len(polylines[0].attrib["points"].split()) == 9
 
     def test_svg_requires_path(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "estimate", "--input", FIXTURE,
-                               "--column", "gdp_per_capita_ppp", "--svg",
-                               str(tmp_path / "x.svg"), "--quiet")
+        # checked before the input is read, and nothing reaches stdout
+        for source in (FIXTURE, str(tmp_path / "missing.csv")):
+            code, out, err = run_cli(capsys, "estimate", "--input", source,
+                                     "--column", "gdp_per_capita_ppp", "--svg",
+                                     str(tmp_path / "x.svg"), "--quiet")
+            assert code == 1
+            assert "--path" in err
+            assert out == ""
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_bad_path_prints_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--input", FIXTURE,
+                                 "--column", "gdp_per_capita_ppp", "--path", "1", "--quiet")
         assert code == 1
-        assert "--path" in err
+        assert "grid_size must be >= 2" in err
+        assert out == ""
 
 
 class TestBiasCommand:
@@ -232,3 +243,18 @@ class TestDigitsFlag:
         code, out, _ = run_cli(capsys, "index", "--alpha", "1", "--gini", "--digits", "3")
         assert code == 0
         assert out.strip() == "0.500"
+
+    def test_negative_digits_is_usage_error(self, tmp_path, capsys):
+        commands = (["index", "--alpha", "2", "--lambda", "0.5"],
+                    ["estimate", "--input", FIXTURE, "--column", "gdp_per_capita_ppp"],
+                    ["bias", "--alpha", "2", "--lambda", "0.5", "--n", "10"],
+                    ["simulate", "--alpha", "2", "--lambda", "0.5", "--n", "10", "--reps", "2",
+                     "--out", str(tmp_path / "out.csv")])
+        for argv in commands:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--digits", "-1"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--digits" in captured.err
+        assert not (tmp_path / "out.csv").exists()
