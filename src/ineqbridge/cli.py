@@ -274,10 +274,11 @@ def _cmd_simulate(args) -> int:
                 bias_i, bias_j = comparison[config]
                 return [("BiasI", bias_i), ("BiasJ", bias_j)]
 
-        if summaries:
-            print(format_table(summaries, digits=digits, extra=extra))
+        # the CSV is written before the table, so a failed write prints nothing
         if args.out:
             write_csv(summaries, args.out)
+        if summaries:
+            print(format_table(summaries, digits=digits, extra=extra))
         if failures:
             return 1
     except (ValueError, RuntimeError, OverflowError, OSError) as exc:

@@ -6,7 +6,9 @@ series needed by the gamma-sum distribution function.
 
 Everything is arranged so that summed series have non-negative terms and
 large prefactors live in log space: shape parameters beyond a thousand are
-routine.  All functions are pure and safe for concurrent callers.
+routine, and near x = s at large shapes Q takes a uniform asymptotic
+expansion whose cost does not grow with s.  All functions are pure and
+safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,76 @@ _TERM_CAP = 100_000
 _REL_EPS = 1e-16        # a term this small relative to the sum is negligible
 _STREAK = 3             # consecutive negligible terms required to stop
 _RESCALE_LIMIT = 1e250
+
+# Temme's uniform expansion serves s >= 20 and |x/s - 1| <= 0.3 (see reg_gamma_q).
+_TEMME_MIN_SHAPE = 20.0
+_TEMME_MAX_SIGMA = 0.3
+# d[k, n] of c_k(eta) = sum_n d[k, n] eta^n (DLMF 8.12.12-13): k < 10 powers of 1/s, n < 22
+# powers of eta, rounded from a 50-digit derivation that tests/helpers.py repeats
+_TEMME_D = np.array([
+    [-0.3333333333333333, 0.08333333333333333, -0.014814814814814815, 0.0011574074074074073,
+     0.0003527336860670194, -0.0001787551440329218, 3.919263178522438e-05, -2.185448510679992e-06,
+     -1.85406221071516e-06, 8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
+     1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10, -2.5514193994946248e-11,
+     -5.830772132550426e-11, 2.4361948020667415e-11, -5.0276692801141755e-12, 1.1004392031956135e-13,
+     3.371763262400985e-13, -1.392388722418162e-13],
+    [-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454, -0.0009902263374485596,
+     0.00020576131687242798, -4.018775720164609e-07, -1.8098550334489977e-05, 7.64916091608111e-06,
+     -1.6120900894563446e-06, 4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09, 4.162792991842583e-10,
+     -8.56390702649298e-11, 6.067215101604758e-14, 7.1624989648114856e-12, -2.933186643771437e-12,
+     5.996696365683689e-13, -2.1671786527323313e-16],
+    [0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049, 2.0093878600823047e-06,
+     -0.0001073665322636516, 5.2923448829120125e-05, -1.2760635188618728e-05, 3.423578734096138e-08,
+     1.3721957309062934e-06, -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+     -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617114e-09, 9.428356159014678e-13,
+     1.2872252400089318e-10, -5.5645956134363323e-11, 1.197593554636698e-11, -4.1689782251838634e-15,
+     -1.0940640427884595e-12, 4.662239946390136e-13],
+    [0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557, 0.00026772063206283885,
+     -7.561801671883977e-05, -2.396505113867297e-07, 1.1082654115347302e-05, -5.6749528269915965e-06,
+     1.4230900732435883e-06, -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
+     -1.9111168485973655e-08, 2.3928620439808118e-12, 2.0620131815488797e-09, -9.460496661855133e-10,
+     2.1541049775774907e-10, -1.388823336813903e-14, -2.1894761681963938e-11, 9.790998951171684e-12,
+     -2.178219188018096e-12, 6.208819573407901e-17],
+    [-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902, -1.4638452578843418e-06,
+     6.641498215465122e-05, -3.968365047179435e-05, 1.1375726970678419e-05, 2.507497226237533e-10,
+     -1.6954149536558305e-06, 8.907507532205309e-07, -2.292934834000805e-07, 2.956794137544049e-11,
+     2.8865829742708783e-08, -1.4189739437803219e-08, 3.4463580499464896e-09, -2.3024517174528067e-13,
+     -3.9409233028046403e-10, 1.86023389685045e-10, -4.356323005056618e-11, 1.278600101629623e-15,
+     4.67927502665792e-12, -2.149246470613483e-12],
+    [-0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392, -0.00019932570516188847,
+     6.797780477937208e-05, 1.419062920643967e-07, -1.3594048189768693e-05, 8.018470256334202e-06,
+     -2.291481176508095e-06, -3.252473551298454e-10, 3.4652846491085265e-07, -1.8447187191171344e-07,
+     4.8240967037894184e-08, -1.7989466721743514e-14, -6.306194500013523e-09, 3.162417628774568e-09,
+     -7.840924253697429e-10, 5.192679165254041e-15, 9.358944242306784e-11, -4.513426216163278e-11,
+     1.0799129993116828e-11, -3.661886712685252e-17],
+    [0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045, 7.902353232660328e-07,
+     -8.153969367561969e-05, 5.61168275310625e-05, -1.8329116582843375e-05, -3.0796134506033047e-09,
+     3.465155368803609e-06, -2.0291327396058603e-06, 5.788792863149004e-07, 2.338630673826657e-13,
+     -8.828600746330484e-08, 4.7435958880408125e-08, -1.2545415020710383e-08, 8.649648858010293e-14,
+     1.6846058979264062e-09, -8.575492823577594e-10, 2.1598224929232125e-10, -7.613230520476153e-16,
+     -2.6639822008536144e-11, 1.3065700536611057e-11],
+    [0.00034436760689237765, 5.171790908260592e-05, -0.00033493161081142234, 0.0002812695154763237,
+     -0.00010976582244684731, -1.2741009095484485e-07, 2.7744451511563645e-05, -1.8263488805711332e-05,
+     5.7876949497350525e-06, 4.93875893393627e-10, -1.0595367014026043e-06, 6.166714376110408e-07,
+     -1.7562973359060463e-07, -1.297447328701544e-12, 2.695423606288966e-08, -1.4578352908731272e-08,
+     3.887645959386175e-09, -3.881002251019412e-17, -5.327994173877286e-10, 2.7437977643314844e-10,
+     -6.995796092070568e-11, 2.589986387486848e-17],
+    [-0.0006526239185953094, 0.0008394987206720873, -0.000438297098541721, -6.969091458420552e-07,
+     0.00016644846642067547, -0.00012783517679769218, 4.629953263691304e-05, 4.557909867922708e-09,
+     -1.0595271125805195e-05, 6.783342904865167e-06, -2.1075476666258803e-06, -1.7213731432817144e-11,
+     3.773587741611098e-07, -2.1867506700122867e-07, 6.220228804018927e-08, 6.597703826733e-16,
+     -9.590386497425686e-09, 5.213214492280807e-09, -1.3991589583935709e-09, 5.382058999060575e-16,
+     1.9484714275467745e-10, -1.0127287556389682e-10],
+    [-0.0005967612901927463, -7.204895416020011e-05, 0.0006782308837667328, -0.0006401475260262758,
+     0.00027750107634328704, 1.819700838046515e-07, -8.479507117068503e-05, 6.105192082501531e-05,
+     -2.1073920183404862e-05, -8.858589014125599e-10, 4.5284535953805374e-06, -2.8427815022504407e-06,
+     8.708234177864641e-07, 3.6886101871706966e-12, -1.534469519070206e-07, 8.862466778790695e-08,
+     -2.5184812301826817e-08, -1.0225912098215092e-14, 3.896947075815478e-09, -2.1267304792235634e-09,
+     5.737013552805138e-10, -1.8877498501697116e-19],
+])
+_TEMME_D.flags.writeable = False
+_ATANH_TAIL = 1.0 / (2.0 * np.arange(12.0) + 3.0)
 
 
 def _stirling_defect(s: float) -> float:
@@ -89,11 +161,42 @@ def _gamma_q_contfrac(s: float, x: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"incomplete gamma continued fraction hit the {_TERM_CAP}-term cap at s={s}")
 
 
+def _log1pmx(u: np.ndarray) -> np.ndarray:
+    # ln(1+u) - u for |u| <= 0.3 to full relative accuracy: with t = u/(2+u),
+    # ln(1+u) = 2 atanh(t) = 2t + 2 sum_j t^(2j+3)/(2j+3) and 2t - u = -u t, so nothing cancels
+    t = u / (2.0 + u)
+    t2 = t * t
+    return 2.0 * t * t2 * (np.vander(t2, _ATANH_TAIL.size, increasing=True) @ _ATANH_TAIL) - u * t
+
+
+def _gamma_q_temme(s: float, x: np.ndarray) -> np.ndarray:
+    # Q = erfc(eta sqrt(s/2))/2 + e^(-s eta^2/2)/sqrt(2 pi s) sum_k c_k(eta) s^-k (DLMF 8.12),
+    # with the 1/s series collapsed once into one polynomial in eta, so the cost does not grow with s
+    sigma = (x - s) / s
+    eta = np.sign(sigma) * np.sqrt(-2.0 * _log1pmx(sigma))
+    k_count, n_count = _TEMME_D.shape
+    coef = s ** -np.arange(float(k_count)) @ _TEMME_D
+    series = np.vander(eta, n_count, increasing=True) @ coef
+    erfc = np.array([math.erfc(v) for v in (eta * math.sqrt(0.5 * s)).tolist()])
+    return 0.5 * erfc + np.exp(-0.5 * s * eta * eta) / math.sqrt(2.0 * math.pi * s) * series
+
+
 def reg_gamma_q(s: float, x):
     """Regularized upper incomplete gamma Q(s, x) for s > 0, x >= 0.
 
-    Accepts a scalar or an ndarray for x.  Power series for x < s+1,
-    continued fraction otherwise, both with a log-space prefactor.
+    Accepts a scalar or an ndarray for x.  Three routes, with their absolute
+    error against 30- to 50-digit mpmath:
+
+    - s >= 20 and |x/s - 1| <= 0.3: Temme's uniform expansion (DLMF
+      8.12.3-4 with a frozen 10 x 22 table of the 8.12.12 coefficients),
+      whose cost does not grow with s; within 5e-16 (worst seen 1.1e-16)
+      for s from 20 to 1e10.
+    - any other x < s+1: the power series of P = 1 - Q;
+    - any other x >= s+1: the modified Lentz continued fraction.
+
+    The last two carry a log-space prefactor and are within 1e-14 (worst
+    seen 4.2e-15, near x = s at s = 10); at s >= 20 they only meet
+    |x/s - 1| > 0.3, where they are within 1e-16.
     """
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
@@ -105,10 +208,13 @@ def reg_gamma_q(s: float, x):
         raise ValueError("reg_gamma_q requires finite x >= 0")
     out = np.ones_like(flat)
     lo = flat > 0
-    series = lo & (flat < s + 1.0)
+    temme = lo & (s >= _TEMME_MIN_SHAPE) & (np.abs(flat - s) <= _TEMME_MAX_SIGMA * s)
+    if temme.any():
+        out[temme] = _gamma_q_temme(s, flat[temme])
+    series = lo & ~temme & (flat < s + 1.0)
     if series.any():
         out[series] = 1.0 - _gamma_p_series(s, flat[series])
-    cf = lo & ~series
+    cf = lo & ~temme & ~series
     if cf.any():
         out[cf] = _gamma_q_contfrac(s, flat[cf])
     if scalar:

@@ -30,7 +30,47 @@ def erfc_series(x: float, terms: int = 80) -> float:
 
 
 def mp_reg_q(s, x) -> float:
-    return float(mp.gammainc(mp.mpf(s), mp.mpf(x), mp.inf, regularized=True))
+    """Q(s, x) in 50-digit arithmetic, as 1 - P(s, x) below x = 0.9 s.
+
+    mpmath's upper integral takes tens of seconds at x = 0.7 s for s = 1e6,
+    and its lower series fails to converge at x = s - 3 sqrt(s) for s = 1e10.
+    Below x = 0.9 s, Q is above 1/2, so 1 - P loses nothing at 50 digits.
+    """
+    sm, xm = mp.mpf(s), mp.mpf(x)
+    if xm < 0.9 * sm:
+        return float(1 - mp.gammainc(sm, 0, xm, regularized=True))
+    return float(mp.gammainc(sm, xm, mp.inf, regularized=True))
+
+
+def mp_temme_coefficients(k_count: int, n_count: int) -> list[list[mp.mpf]]:
+    """Coefficients d[k][n] of c_k(eta) = sum_n d[k][n] eta^n (DLMF 8.12.12-13).
+
+    lam - 1 = u(eta) with eta^2/2 = u - ln(1 + u) is reverted as a power
+    series from u u' = eta (1 + u); c_0 = 1/u - 1/eta gives d[0][n]; the
+    Stirling coefficients g_k of Gamma*(z) ~ sum g_k z^-k come from the
+    exponential of the Bernoulli-number series of ln Gamma*; and
+    d[k][n] = (-1)^k g_k d[0][n] + (n + 2) d[k-1][n+2].
+    """
+    m = n_count + 2 * (k_count - 1)        # d[0][n] is needed for n < m
+    a = [mp.mpf(0), mp.mpf(1)]             # u = sum a[j] eta^j
+    for j in range(2, m + 2):
+        cross = mp.fsum((j - i + 1) * a[i] * a[j - i + 1] for i in range(2, j))
+        a.append((a[j - 1] - cross) / (j + 1))
+    w = [mp.mpf(1)]                        # eta/u = sum w[j] eta^j
+    for j in range(1, m + 1):
+        w.append(-mp.fsum(a[i + 1] * w[j - i] for i in range(1, j + 1)))
+    d0 = w[1:]
+    log_g = [mp.mpf(0)] * k_count          # ln Gamma*(z) = sum log_g[j] z^-j
+    for j in range(1, k_count, 2):
+        log_g[j] = mp.bernoulli(j + 1) / (j * (j + 1))
+    g = [mp.mpf(1)]
+    for j in range(1, k_count):
+        g.append(mp.fsum(i * log_g[i] * g[j - i] for i in range(1, j + 1)) / j)
+    rows = [d0]
+    for k in range(1, k_count):
+        prev = rows[-1]
+        rows.append([(-1) ** k * g[k] * d0[n] + (n + 2) * prev[n + 2] for n in range(len(prev) - 2)])
+    return [row[:n_count] for row in rows]
 
 
 def mp_gamma_index(alpha: float, lam: float) -> float:

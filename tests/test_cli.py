@@ -232,6 +232,14 @@ class TestSimulateCommand:
         printed = float([l for l in out.split("\n") if l.startswith("I_0.5")][0].split()[1])
         assert printed == pytest.approx(i_hat_fast(values, 0.5), abs=1e-9)
 
+    def test_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "2", "--lambda", "0.5",
+                                 "--n", "10", "--reps", "5", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert "[Errno 2] No such file or directory" in err
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--alpha", "", "--lambda", "0.5",
                                "--n", "10")

@@ -110,6 +110,10 @@ class TestGammaClosedForms:
             for lam in (1e-8, 1e-6, 1e-4, 1e-3, 0.01):
                 assert gamma_index(alpha, lam) == pytest.approx(mp_gamma_index(alpha, lam), abs=1e-10)
 
+    def test_large_shape_matches_oracle(self):
+        for lam in (0.01, 0.5):
+            assert gamma_index(1e4, lam) == pytest.approx(mp_gamma_index(1e4, lam), abs=1e-10)
+
     def test_non_decreasing_in_weight(self):
         # I(lam) = E|A + lam B| / (2 mu) with A, B independent and centred is
         # convex in lam with zero slope at 0, so it never decreases

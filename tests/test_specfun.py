@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ineqbridge import log_humbert_phi2, reg_gamma_q
+from ineqbridge.specfun import _TEMME_D
 
-from helpers import erfc_series, mp_phi2_unit, mp_reg_q
+from helpers import erfc_series, mp_phi2_unit, mp_reg_q, mp_temme_coefficients
 
 # frozen oracle outputs (recomputed below to guard the freeze itself)
 ERFC_1 = 0.15729920705028513
@@ -65,6 +66,39 @@ class TestRegGammaQ:
                 step = math.exp(s * math.log(x) - x - math.lgamma(s + 1.0))
                 assert reg_gamma_q(s + 1.0, x) == pytest.approx(
                     reg_gamma_q(s, x) + step, abs=1e-11)
+
+    def test_temme_table_matches_derivation(self):
+        derived = mp_temme_coefficients(*_TEMME_D.shape)
+        for k, row in enumerate(derived):
+            for n, d in enumerate(row):
+                assert abs(_TEMME_D[k, n] - float(d)) <= 1e-15 * abs(float(d)), (k, n)
+
+    def test_both_sides_of_every_switch(self):
+        # Temme's expansion serves s >= 20 and |x/s - 1| <= 0.3; the series and the
+        # continued fraction serve every other point
+        inside, outside = 0.3 * (1.0 - 1e-9), 0.3 * (1.0 + 1e-9)
+        for s in (19.999, 20.0, 20.001, 50.0, 1e3, 1e4, 1e6):
+            temme = s >= 20.0
+            for sigma in (-outside, -inside, 0.0, inside, outside):
+                x = s * (1.0 + sigma)
+                tol = 5e-16 if temme and abs(sigma) < 0.3 else 1e-14
+                assert reg_gamma_q(s, x) == pytest.approx(mp_reg_q(s, x), abs=tol), (s, sigma)
+            for x in (s - 3.0 * math.sqrt(s), s + 0.5 * math.sqrt(s), s + 3.0 * math.sqrt(s)):
+                tol = 5e-16 if temme else 1e-14
+                assert reg_gamma_q(s, x) == pytest.approx(mp_reg_q(s, x), abs=tol), (s, x)
+
+    def test_huge_shapes(self):
+        # near x = s the P series would need more terms than its cap allows at s = 1e10
+        for s in (1e6, 1e8, 1e10):
+            for x in (s - 3.0 * math.sqrt(s), s, s + 3.0 * math.sqrt(s)):
+                assert reg_gamma_q(s, x) == pytest.approx(mp_reg_q(s, x), abs=5e-16), (s, x)
+
+    def test_monotone_across_temme_switches(self):
+        for s in (20.0, 1e3, 1e4):
+            for edge in (0.7, 1.3):
+                xs = s * np.linspace(edge - 0.01, edge + 0.01, 401)
+                assert np.any(np.abs(xs - s) <= 0.3 * s) and np.any(np.abs(xs - s) > 0.3 * s)
+                assert (np.diff(reg_gamma_q(s, xs)) <= 1e-15).all(), (s, edge)
 
 
 class TestHumbertPhi2:
