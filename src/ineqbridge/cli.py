@@ -194,7 +194,8 @@ def _cmd_estimate(args) -> int:
         if args.svg and args.path is None:
             raise ValueError("--svg requires --path")
         lambdas = _float_list(args.lambdas)
-        values = _read_column(args.input, args.column, args.quiet)
+        # one float64 array, so the estimator calls below do not each convert the list
+        values = np.array(_read_column(args.input, args.column, args.quiet), dtype=float)
         rows = [("Hoover", h_hat(values))]
         for lam in sorted(lambdas):
             rows.append((f"I_{lam:g}", i_hat_fast(values, lam)))

@@ -129,7 +129,9 @@ def gamma_index(alpha: float, lam: float) -> float:
     + 40, past which int_U^inf Q(alpha, s) ds is below 1e-22 at every shape.
     Checked against a 25-digit oracle within 1e-10: worst 1.7e-11 for
     shapes 1e-3 to 1e3 and weights 1e-8 to 0.01, and 1.2e-14 at shape 1e4
-    for weights 0.01 and 0.5.
+    for weights 0.01 and 0.5.  At shapes 3e8, 1e9 and 1e10 and weights 0.1,
+    0.5 and 0.9 it is within 5.2e-10 relative of the normal limit
+    sqrt((1+lam^2)/(2 pi alpha)).
     """
     alpha = check_shape(alpha)
     lam = check_lambda(lam)
@@ -146,7 +148,12 @@ def gamma_index(alpha: float, lam: float) -> float:
     def integrand(s):
         return reg_gamma_q(alpha, c + lam * s) * reg_gamma_q(alpha, s)
 
-    res = integrate_finite(integrand, 0.0, alpha + 40.0 * math.sqrt(alpha) + 40.0)
+    # both factors fall from 1 to 0 near s = alpha, over widths sqrt(alpha) and
+    # sqrt(alpha)/lam; at large shapes the first rule on [0, U] has no node
+    # there, so the falls are fenced in by breakpoints
+    w = 8.0 * math.sqrt(alpha)
+    res = integrate_finite(integrand, 0.0, alpha + 40.0 * math.sqrt(alpha) + 40.0,
+                           breakpoints=(alpha - w, alpha + w, alpha - w / lam, alpha + w / lam))
     return term1 + term2 - lam * res.value / alpha
 
 

@@ -1,10 +1,12 @@
 """Monte Carlo study of the plug-in estimator under gamma populations.
 
 Each scenario fixes (shape, weight, sample size, replication count, seed);
-every replication r draws its sample from a generator derived
-deterministically from (seed, r), so results depend only on (seed, r) and
-not on the order in which replications or scenarios run.  The truth is the
-gamma closed form, computed once per scenario.
+every replication r draws its sample from the counter-based Philox stream
+with key seed and counter (0, 0, 0, r) (Salmon et al. 2011, "Parallel
+random numbers: as easy as 1, 2, 3"), so results depend only on (seed, r)
+and not on the order in which replications or scenarios run.  r sits in
+the counter's top word, 2^192 blocks away from the next stream.  The truth
+is the gamma closed form, computed once per scenario.
 
 The estimators see the replications in blocks: the samples of up to 64
 consecutive replications are stacked as the rows of one (R, n) array, and
@@ -55,7 +57,7 @@ class SimConfig:
     def __post_init__(self):
         check_shape(self.alpha)
         check_lambda(self.lam)
-        # n, reps and seed are stored as int: range, np.empty and SeedSequence take no float
+        # n, reps and seed are stored as int: range, np.empty and the Philox key take no float
         object.__setattr__(self, "n", check_sample_size(self.n))
         if not (1 <= self.reps < math.inf and self.reps == int(self.reps)):
             raise ValueError(f"replication count must be an integer >= 1, got {self.reps!r}")
@@ -90,10 +92,28 @@ def _cached_truth(alpha: float, lam: float) -> float:
     return gamma_index(alpha, lam)
 
 
+def _sampler(config: SimConfig):
+    """draw(r), the sample of replication r.  One Philox bit generator serves
+    the scenario: draw resets it to key seed, counter (0, 0, 0, r), an empty
+    buffer and no cached 32-bit half, the state of a fresh Philox(key=seed,
+    counter=[0, 0, 0, r]), at a fifth of the cost of building that one."""
+    bits = np.random.Philox(key=config.seed)
+    rng = np.random.Generator(bits)
+    params = GammaParams(config.alpha, 1.0)
+    state = bits.state
+    counter = state["state"]["counter"]
+
+    def draw(r: int) -> np.ndarray:
+        counter[3] = r
+        bits.state = state
+        return gamma_sample(params, rng, config.n)
+
+    return draw
+
+
 def _replication_sample(config: SimConfig, r: int) -> np.ndarray:
-    """Sample of replication r, drawn from a generator split off (seed, r) alone."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(r,)))
-    return gamma_sample(GammaParams(config.alpha, 1.0), rng, config.n)
+    """Sample of replication r, the same as row r of a block."""
+    return _sampler(config)(r)
 
 
 def _replicate(config: SimConfig, estimate) -> np.ndarray:
@@ -101,11 +121,12 @@ def _replicate(config: SimConfig, estimate) -> np.ndarray:
     the samples of up to _BLOCK_ROWS replications as the rows of an (R, n)
     array and estimate returns one value per row, or a tuple of such arrays;
     the results are joined along their last axis."""
+    draw = _sampler(config)
     out = []
     for first in range(0, config.reps, _BLOCK_ROWS):
         block = np.empty((min(_BLOCK_ROWS, config.reps - first), config.n))
         for i in range(len(block)):
-            block[i] = _replication_sample(config, first + i)
+            block[i] = draw(first + i)
         out.append(estimate(block))
     return np.concatenate(out, axis=-1)
 

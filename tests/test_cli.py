@@ -223,8 +223,9 @@ class TestSimulateCommand:
                              "--dump-sample", str(dump))
         assert code == 0
         values = [float(line) for line in dump.read_text().strip().split("\n")[1:]]
-        # replication 0 of the first scenario draws from the stream keyed by (seed, 0)
-        rng = np.random.default_rng(np.random.SeedSequence(77, spawn_key=(0,)))
+        # replication 0 of the first scenario draws from the Philox stream with key
+        # seed and counter (0, 0, 0, 0)
+        rng = np.random.Generator(np.random.Philox(key=77, counter=[0, 0, 0, 0]))
         assert values == gamma_sample(GammaParams(2.0, 1.0), rng, 25).tolist()
         code, out, _ = run_cli(capsys, "estimate", "--input", str(dump), "--column", "value",
                                "--lambdas", "0.5", "--digits", "12")

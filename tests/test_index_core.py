@@ -114,6 +114,14 @@ class TestGammaClosedForms:
         for lam in (0.01, 0.5):
             assert gamma_index(1e4, lam) == pytest.approx(mp_gamma_index(1e4, lam), abs=1e-10)
 
+    @pytest.mark.parametrize("alpha", [3e8, 1e9, 1e10])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_huge_shape_meets_normal_limit(self, alpha, lam):
+        # the index tends to E|Z1 + lam Z2| / 2 / sqrt(alpha) for standard normal
+        # Z1, Z2; the first correction is of relative order 1/alpha
+        limit = math.sqrt((1.0 + lam * lam) / (2.0 * math.pi * alpha))
+        assert gamma_index(alpha, lam) == pytest.approx(limit, rel=1e-8)
+
     def test_non_decreasing_in_weight(self):
         # I(lam) = E|A + lam B| / (2 mu) with A, B independent and centred is
         # convex in lam with zero slope at 0, so it never decreases

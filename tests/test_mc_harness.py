@@ -5,6 +5,7 @@ import pytest
 
 import ineqbridge.mc_harness as mc
 from ineqbridge import (
+    GammaParams,
     ScenarioFailure,
     SimConfig,
     SimSummary,
@@ -14,6 +15,7 @@ from ineqbridge import (
     gamma_gini,
     gamma_hoover,
     gamma_index,
+    gamma_sample,
     h_hat,
     i_hat_fast,
     j_index,
@@ -71,6 +73,31 @@ class TestRunScenario:
         assert abs(s.mean - 0.3001) <= 0.004
         assert abs(s.bias - 0.0003) <= 0.004
         assert 0.85 * 0.0010 <= s.variance <= 1.18 * 0.0010
+
+
+class TestStreams:
+    def test_replication_r_draws_philox_key_seed_counter_r(self):
+        c = SimConfig(alpha=0.5, lam=0.3, n=12, reps=10, seed=2 ** 64 - 1)
+        for r in (0, 1, 9, 2 ** 40):
+            rng = np.random.Generator(np.random.Philox(key=c.seed, counter=[0, 0, 0, r]))
+            expected = gamma_sample(GammaParams(c.alpha, 1.0), rng, c.n)
+            assert mc._replication_sample(c, r).tolist() == expected.tolist()
+
+    def test_independent_of_replication_order(self):
+        c = SimConfig(alpha=2.0, lam=0.5, n=9, reps=70, seed=5)
+        forward = [mc._replication_sample(c, r) for r in range(c.reps)]
+        draw = mc._sampler(c)  # one generator, reset after each earlier draw
+        backward = [draw(r) for r in reversed(range(c.reps))]
+        rows = mc._replicate(c, lambda block: block.T)
+        assert np.array_equal(np.array(forward), np.array(backward[::-1]))
+        assert np.array_equal(np.array(forward), rows.T)
+
+    def test_seeds_and_replications_differ(self):
+        c = SimConfig(alpha=2.0, lam=0.5, n=9, reps=2, seed=5)
+        other = SimConfig(alpha=2.0, lam=0.5, n=9, reps=2, seed=6)
+        x = mc._replication_sample(c, 0)
+        assert not np.array_equal(x, mc._replication_sample(other, 0))
+        assert not np.array_equal(x, mc._replication_sample(c, 1))
 
 
 class TestBlocks:
