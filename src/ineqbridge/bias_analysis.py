@@ -54,7 +54,7 @@ class BiasQuery:
         check_sample_size(self.n)
 
 
-def _upper_cut(integrand, start: float) -> float:
+def _upper_cut(integrand, start: float, q: BiasQuery) -> float:
     # smallest grid point past the peak where the unimodal integrand has
     # dropped below _ENVELOPE_DROP of its maximum
     t_hi = max(start, 1.0)
@@ -67,7 +67,8 @@ def _upper_cut(integrand, start: float) -> float:
             rel = np.nonzero(vals[i_pk:] <= _ENVELOPE_DROP * peak)[0]
             return float(grid[i_pk + rel[0]])
         t_hi *= 2.0
-    raise RuntimeError("could not locate the decayed tail of the bias integrand")
+    raise RuntimeError(f"could not locate the decayed tail of the bias integrand at alpha={q.alpha}, "
+                       f"lam={q.lam}, n={q.n} (last cut tried t={t_hi / 2.0!r})")
 
 
 def expected_i_hat(q: BiasQuery) -> float:
@@ -100,7 +101,7 @@ def expected_i_hat(q: BiasQuery) -> float:
         return survival(t) * reg_gamma_q(alpha, np.asarray(t, dtype=float) / scale_q)
 
     start = max(mean_sum + 10.0 * sd_sum, scale_q * (alpha + 10.0 * math.sqrt(alpha)), 10.0)
-    upper = _upper_cut(integrand, start)
+    upper = _upper_cut(integrand, start, q)
     res = integrate_finite(integrand, 0.0, upper, abs_tol=_BIAS_ABS_TOL)
     return (1.0 + (lam - 1.0) / n) - res.value / (n * alpha)
 

@@ -171,8 +171,9 @@ def ghypo_cdf(g: GHypoParams, t):
     ta = np.asarray(t, dtype=float)
     scalar = ta.ndim == 0
     flat = np.atleast_1d(ta).ravel().astype(float)
-    if not np.isfinite(flat).all() or (flat < 0).any():
-        raise ValueError("ghypo_cdf requires finite t >= 0")
+    bad = ~np.isfinite(flat) | (flat < 0)
+    if bad.any():
+        raise ValueError(f"ghypo_cdf requires finite t >= 0, got t={float(flat[bad][0])!r} for {g}")
     a_hi, b_hi, a_lo, b_lo = _ordered(g)
     nu = g.alpha1 + g.alpha2
     out = np.zeros_like(flat)

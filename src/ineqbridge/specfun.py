@@ -25,7 +25,9 @@ __all__ = [
 _TERM_CAP = 100_000
 _REL_EPS = 1e-16        # a term this small relative to the sum is negligible
 _STREAK = 3             # consecutive negligible terms required to stop
-_RESCALE_LIMIT = 1e250
+_BLOCK = 128            # Phi2 series terms per numpy pass
+_COLUMNS = 1024         # Phi2 points per pass, which bounds its (_BLOCK, _COLUMNS) arrays
+_SHIFT_RANGE = 650.0    # ln of the widest spread that one shifted cumsum keeps exact
 
 # Temme's uniform expansion serves s >= 20 and |x/s - 1| <= 0.3 (see reg_gamma_q).
 _TEMME_MIN_SHAPE = 20.0
@@ -204,8 +206,9 @@ def reg_gamma_q(s: float, x):
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     flat = np.atleast_1d(xa).ravel().copy()
-    if not np.isfinite(flat).all() or (flat < 0).any():
-        raise ValueError("reg_gamma_q requires finite x >= 0")
+    bad = ~np.isfinite(flat) | (flat < 0)
+    if bad.any():
+        raise ValueError(f"reg_gamma_q requires finite x >= 0, got x={float(flat[bad][0])!r} at s={s!r}")
     out = np.ones_like(flat)
     lo = flat > 0
     temme = lo & (s >= _TEMME_MIN_SHAPE) & (np.abs(flat - s) <= _TEMME_MAX_SIGMA * s)
@@ -222,6 +225,52 @@ def reg_gamma_q(s: float, x):
     return out.reshape(xa.shape)
 
 
+def _log_phi2_columns(a: float, c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # the series at each (x, y), _BLOCK diagonals r_s per pass; see log_humbert_phi2
+    out = np.empty_like(x)
+    y0 = y == 0.0
+    y = np.where(y0, 1.0, y)  # a finite stand-in: those columns take r_s = v_s
+    col = np.arange(x.size)
+    # after the previous block: an integer offset that keeps the logs small, ln r - base,
+    # ln(sum) - base, ln(v/r), and the count of trailing negligible terms
+    base, lr, lt, u, streak = np.zeros((5, x.size))
+    with np.errstate(divide="ignore"):  # ln 0 at x = 0 and where a shifted sum underflows
+        for s0 in range(1, _TERM_CAP, _BLOCK):
+            i = np.arange(s0, min(s0 + _BLOCK, _TERM_CAP), dtype=float)[:, None]
+            # r_s = P_s (r_{s0-1} + sum_{s0<=j<=s} v_j/P_j) with P_s = prod_{s0<=i<=s} y/(c+i-1)
+            log_p = np.cumsum(np.log(y / (c + i - 1.0)), axis=0)
+            log_v = u + np.cumsum(np.log((a + i - 1.0) / (i * (c + i - 1.0)) * x), axis=0)
+            w = log_v - log_p  # ln(v_s/(P_s r_{s0-1}))
+            m = np.maximum(w.max(axis=0), 0.0)
+            log_r = (lr + m) + log_p + np.log(np.cumsum(np.exp(w - m), axis=0) + np.exp(-m))
+            deep = m > _SHIFT_RANGE  # the shifted sums may underflow: accumulate in log space
+            if deep.any():
+                acc = np.logaddexp.accumulate(np.vstack((np.zeros(deep.sum()), w[:, deep])), axis=0)[1:]
+                log_r[:, deep] = lr[deep] + log_p[:, deep] + acc
+            log_r[:, y0] = lr[y0] + log_v[:, y0]
+            mt = np.maximum(log_r.max(axis=0), lt)  # the running sums, shifted by their largest term
+            term = np.exp(log_r - mt)
+            total = np.cumsum(term, axis=0) + np.exp(lt - mt)
+            # whether each of the _STREAK - 1 terms before the block, then each term, is negligible
+            flags = np.vstack((streak >= np.arange(_STREAK - 1, 0, -1)[:, None], term < _REL_EPS * total))
+            stop = np.logical_and.reduce([flags[d:d + i.size] for d in range(_STREAK)])
+            done = stop.any(axis=0)
+            out[col[done]] = base[done] + mt[done] + np.log(total[stop[:, done].argmax(axis=0), done])
+            keep = ~done
+            col, base, lr, mt, x, y, y0 = (v[keep] for v in (col, base, lr, mt, x, y, y0))
+            streak = np.logical_and.accumulate(flags[:-_STREAK:-1, keep], axis=0).sum(axis=0)
+            u = lr + log_v[-1, keep] - log_r[-1, keep]
+            lt = mt + np.log(total[-1, keep])
+            shift = np.floor(lt)
+            base, lr, lt = base + shift, log_r[-1, keep] - shift, lt - shift
+            if not col.size:
+                return out
+    raise RuntimeError(
+        f"two-variable confluent series hit the {_TERM_CAP}-term cap "
+        f"(a={a}, c={c}, max x={float(np.max(x))}, max y={float(np.max(y))})"
+    )
+
+
 def log_humbert_phi2(a: float, c: float, x, y):
     """Log of the two-variable confluent series with unit second parameter.
 
@@ -230,43 +279,27 @@ def log_humbert_phi2(a: float, c: float, x, y):
     Humbert Phi2 series specialized to second numerator parameter 1; it is
     the reduced form taken by the distribution function of a sum of two
     independent gamma variables with distinct rates.
+
+    Each numpy pass sums a block of 128 diagonals r_s (the terms with k + m
+    = s) in logs: cumulative sums give the pure-x terms v_s and the products
+    P_s of y/(c+s-1), and r_s = P_s (r_{s0-1} + sum_{j<=s} v_j/P_j) is summed
+    with a shift per point (by np.logaddexp where that shift could underflow,
+    as at x >> y).  A point stops at the third consecutive diagonal below
+    1e-16 of its running sum and leaves the batch, so its value does not
+    depend on the other points.  Against 40-digit mpmath at the bias table's
+    arguments (a 0.5 to 10, c up to 1,191, x + y up to 4e4) the log is within
+    1e-13 of max(1, |log|), worst seen 6e-16; at x > y, which the gamma-sum
+    distribution never passes, the worst seen is 5.5e-14 (at c = 1e-3).
     """
     a = float(a)
     c = float(c)
     if not (math.isfinite(a) and a > 0.0 and math.isfinite(c) and c > 0.0):
         raise ValueError(f"log_humbert_phi2 requires a > 0 and c > 0, got a={a!r}, c={c!r}")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    scalar = xa.ndim == 0 and ya.ndim == 0
-    xf, yf = np.broadcast_arrays(np.atleast_1d(xa).astype(float), np.atleast_1d(ya).astype(float))
-    xf = xf.ravel().copy()
-    yf = yf.ravel().copy()
-    if (xf < 0).any() or (yf < 0).any() or not np.isfinite(xf).all() or not np.isfinite(yf).all():
+    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    xf, yf = xa.ravel(), ya.ravel()
+    if not (np.isfinite(xf) & np.isfinite(yf) & (xf >= 0) & (yf >= 0)).all():
         raise ValueError("log_humbert_phi2 requires finite x >= 0 and y >= 0")
-    # diagonal recursion: v_s carries the pure-x term, r_s the full degree-s layer
-    v = np.ones_like(xf)
-    r = np.ones_like(xf)
-    total = np.ones_like(xf)
-    logscale = np.zeros_like(xf)
-    streak = np.zeros(xf.shape, dtype=np.int64)
-    for s in range(1, _TERM_CAP):
-        v = v * (a + s - 1.0) * xf / (s * (c + s - 1.0))
-        r = yf * r / (c + s - 1.0) + v
-        total = total + r
-        big = total > _RESCALE_LIMIT
-        if big.any():
-            f = total[big]
-            logscale[big] += np.log(f)
-            r[big] /= f
-            v[big] /= f
-            total[big] = 1.0
-        streak = np.where(r < _REL_EPS * total, streak + 1, 0)
-        if (streak >= _STREAK).all():
-            out = logscale + np.log(total)
-            if scalar:
-                return float(out[0])
-            return out.reshape(np.broadcast_shapes(xa.shape, ya.shape))
-    raise RuntimeError(
-        f"two-variable confluent series hit the {_TERM_CAP}-term cap "
-        f"(a={a}, c={c}, max x={float(np.max(xf))}, max y={float(np.max(yf))})"
-    )
+    out = np.empty_like(xf)
+    for k in range(0, xf.size, _COLUMNS):
+        out[k:k + _COLUMNS] = _log_phi2_columns(a, c, xf[k:k + _COLUMNS], yf[k:k + _COLUMNS])
+    return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)

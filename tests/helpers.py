@@ -103,7 +103,11 @@ def mp_gamma_index(alpha: float, lam: float) -> float:
 
 
 def mp_phi2_unit(a, c, x, y, terms: int = 5000) -> mp.mpf:
-    """Reference evaluation of the two-variable confluent series."""
+    """Reference evaluation of the two-variable confluent series.
+
+    Sums the diagonals r_s until one falls below 1e-40 of the sum, and
+    raises when that takes more than `terms` diagonals.
+    """
     S = mp.mpf(1)
     r = mp.mpf(1)
     v = mp.mpf(1)
@@ -112,8 +116,25 @@ def mp_phi2_unit(a, c, x, y, terms: int = 5000) -> mp.mpf:
         r = mp.mpf(y) * r / (mp.mpf(c) + s - 1) + v
         S += r
         if abs(r) < mp.mpf("1e-40") * abs(S):
-            break
-    return S
+            return S
+    raise RuntimeError(f"mp_phi2_unit did not converge in {terms} terms at a={a}, c={c}, x={x}, y={y}")
+
+
+def phi2_stop_term(a, c, x, y) -> int:
+    """Diagonal at which the float64 series stops, summed one term at a time.
+
+    The stop is the third consecutive diagonal r_s below 1e-16 of the sum so far.
+    """
+    v = r = total = 1.0
+    streak = 0
+    for s in range(1, 100_000):
+        v *= (a + s - 1) * x / (s * (c + s - 1))
+        r = y * r / (c + s - 1) + v
+        total += r
+        streak = streak + 1 if r < 1e-16 * total else 0
+        if streak == 3:
+            return s
+    raise RuntimeError(f"phi2_stop_term did not stop at a={a}, c={c}, x={x}, y={y}")
 
 
 def hypoexp_cdf(b1: float, b2: float, t: float) -> float:

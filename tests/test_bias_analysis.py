@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ineqbridge import (
@@ -11,6 +12,7 @@ from ineqbridge import (
     gamma_hoover,
     tilting_lemma_check,
 )
+from ineqbridge.bias_analysis import _upper_cut
 
 from helpers import analytic_bias_table, tilting_agrees
 from reference_values import MC_REFERENCE
@@ -49,6 +51,12 @@ class TestExpectedIHat:
     def test_pair_sample_degenerate_component(self):
         # n = 2 collapses the two-gamma sum to a single gamma survival
         assert expected_i_hat(BiasQuery(alpha=2.0, lam=0.5, n=2)) == pytest.approx(0.28125, abs=1e-6)
+
+    def test_tail_search_failure_names_the_query(self):
+        # an integrand that never decays: the search doubles its cut 60 times from 10
+        with pytest.raises(RuntimeError, match=r"alpha=2\.0, lam=0\.5, n=40 \(last cut tried "
+                                               r"t=5\.764607523034235e\+18\)"):
+            _upper_cut(np.ones_like, 10.0, BiasQuery(alpha=2.0, lam=0.5, n=40))
 
 
 class TestExpectedHHat:

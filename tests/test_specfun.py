@@ -4,10 +4,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ineqbridge import log_humbert_phi2, reg_gamma_q
-from ineqbridge.specfun import _TEMME_D
+from ineqbridge import log_humbert_phi2, reg_gamma_q, specfun
+from ineqbridge.specfun import _BLOCK, _TEMME_D
 
-from helpers import erfc_series, mp_phi2_unit, mp_reg_q, mp_temme_coefficients
+from helpers import erfc_series, mp_phi2_unit, mp_reg_q, mp_temme_coefficients, phi2_stop_term
 
 # frozen oracle outputs (recomputed below to guard the freeze itself)
 ERFC_1 = 0.15729920705028513
@@ -31,10 +31,10 @@ class TestRegGammaQ:
             reg_gamma_q(0.0, 1.0)
         with pytest.raises(ValueError):
             reg_gamma_q(-2.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_gamma_q(1.0, -0.1)
-        with pytest.raises(ValueError):
-            reg_gamma_q(1.0, math.nan)
+        with pytest.raises(ValueError, match=r"got x=-0\.1 at s=1\.5"):
+            reg_gamma_q(1.5, -0.1)
+        with pytest.raises(ValueError, match=r"got x=nan at s=2\.0"):
+            reg_gamma_q(2.0, np.array([1.0, math.nan]))
 
     def test_array_input_matches_scalar(self):
         xs = np.array([0.0, 0.3, 2.0, 11.0, 250.0])
@@ -118,3 +118,44 @@ class TestHumbertPhi2:
             log_humbert_phi2(-1.0, 2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             log_humbert_phi2(1.0, 2.0, -1.0, 1.0)
+
+    def test_blocked_series_against_mpmath(self):
+        # shapes a in {0.5, 10} and c up to 1,191 as the bias table meets them, up to the
+        # x + y = 4e4 budget of ghypo_cdf; (1, 1, 2e3, 1e-3) has x >> y, where the shifted
+        # block sums underflow and the block accumulates in log space
+        for a, c, x, y in [(0.5, 5.5, 0.003, 0.0032), (0.5, 20.5, 5.6, 5.62), (10.0, 791.0, 459.6, 465.3),
+                           (2.0, 79.0, 362.0, 389.0), (0.5, 20.5, 1.9e4, 2.0e4),
+                           (10.0, 1191.0, 1.988e4, 1.994e4), (1.0, 1.0, 2.0e3, 1e-3)]:
+            ref = float(mp.log(mp_phi2_unit(a, c, x, y, terms=30_000)))
+            got = log_humbert_phi2(a, c, x, y)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (a, c, x, y, got, ref)
+
+    def test_stop_on_both_sides_of_a_block_boundary(self):
+        # the series stops at its third consecutive term below 1e-16 of the running sum;
+        # that term falls just before, on and just after the end of the first block
+        ys = np.arange(40.0, 80.0, 0.25)
+        stops = [phi2_stop_term(2.5, 7.0, 0.9 * y, y) for y in ys]
+        for target in range(_BLOCK - 1, _BLOCK + 3):
+            y = float(ys[stops.index(target)])
+            ref = float(mp.log(mp_phi2_unit(2.5, 7.0, 0.9 * y, y)))
+            assert log_humbert_phi2(2.5, 7.0, 0.9 * y, y) == pytest.approx(ref, rel=1e-13), target
+
+    def test_points_do_not_depend_on_their_batch(self):
+        x = np.array([0.0, 0.3, 2.0, 40.0, 52.0, 140.0, 300.0, 480.0, 5.0])
+        y = np.array([0.5, 0.4, 2.5, 45.0, 58.5, 150.0, 320.0, 520.0, 0.0])
+        blocks = {(phi2_stop_term(3.0, 9.0, xi, yi) - 1) // _BLOCK for xi, yi in zip(x, y)}
+        assert len(blocks) >= 4
+        together = log_humbert_phi2(3.0, 9.0, x, y)
+        for xi, yi, got in zip(x, y, together):
+            alone = log_humbert_phi2(3.0, 9.0, xi, yi)
+            assert abs(got - alone) <= 1e-15 * abs(alone), (xi, yi)
+        assert np.array_equal(log_humbert_phi2(3.0, 9.0, x[::-1], y[::-1]), together[::-1])
+
+    def test_term_cap_names_the_arguments(self, monkeypatch):
+        # the last block before a 200-term cap is short; a series that stops inside it is kept
+        assert _BLOCK < phi2_stop_term(2.5, 7.0, 72.0, 80.0) < 200
+        uncapped = log_humbert_phi2(2.5, 7.0, 72.0, 80.0)
+        monkeypatch.setattr(specfun, "_TERM_CAP", 200)
+        assert log_humbert_phi2(2.5, 7.0, 72.0, 80.0) == uncapped
+        with pytest.raises(RuntimeError, match=r"200-term cap \(a=2\.5, c=7\.0, max x=900\.0, max y=1000\.0\)"):
+            log_humbert_phi2(2.5, 7.0, [1.0, 900.0], [1.0, 1000.0])
