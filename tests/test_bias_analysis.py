@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from ineqbridge import (
@@ -12,9 +11,8 @@ from ineqbridge import (
     gamma_hoover,
     tilting_lemma_check,
 )
-from ineqbridge.bias_analysis import _upper_cut
 
-from helpers import analytic_bias_table, tilting_agrees
+from helpers import analytic_bias_table, mix_expected_i_hat, tilting_agrees
 from reference_values import MC_REFERENCE
 
 
@@ -52,11 +50,18 @@ class TestExpectedIHat:
         # n = 2 collapses the two-gamma sum to a single gamma survival
         assert expected_i_hat(BiasQuery(alpha=2.0, lam=0.5, n=2)) == pytest.approx(0.28125, abs=1e-6)
 
-    def test_tail_search_failure_names_the_query(self):
-        # an integrand that never decays: the search doubles its cut 60 times from 10
-        with pytest.raises(RuntimeError, match=r"alpha=2\.0, lam=0\.5, n=40 \(last cut tried "
-                                               r"t=5\.764607523034235e\+18\)"):
-            _upper_cut(np.ones_like, 10.0, BiasQuery(alpha=2.0, lam=0.5, n=40))
+    @pytest.mark.parametrize("alpha, lam, n, oracle", [
+        (400.0, 0.5, 40, 0.022239867300),
+        (1e3, 0.5, 40, 0.014067950758),
+        (1e4, 0.5, 120, 0.004456545062),
+        (50.0, 0.9, 120, 0.075713715724),
+    ])
+    def test_large_shapes_match_mixture_oracle(self, alpha, lam, n, oracle):
+        # the gamma-sum density is a spike at these shapes; the oracle sums over
+        # Beta nodes and needs no quadrature in t
+        ref = mix_expected_i_hat(alpha, lam, n)
+        assert abs(ref - oracle) <= 5e-13
+        assert abs(expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n)) - ref) <= 1e-10
 
 
 class TestExpectedHHat:

@@ -178,6 +178,12 @@ class TestBiasCommand:
         lines = out.strip().split("\n")
         assert lines[1:] == ["E[I_hat]  0.118816", "bias      -0.006300"]
 
+    def test_large_shape_expectation(self, capsys):
+        # the gamma-sum law is a narrow spike here; the Beta-mixture oracle gives 0.0140679508
+        code, out, _ = run_cli(capsys, "bias", "--alpha", "1000", "--lambda", "0.5", "--n", "40")
+        assert code == 0
+        assert out.strip().split("\n")[1] == "E[I_hat]  0.014068"
+
     def test_pair_hoover_expectation(self, capsys):
         code, out, _ = run_cli(capsys, "bias", "--alpha", "1", "--lambda", "0", "--n", "2")
         assert code == 0

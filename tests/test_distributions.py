@@ -13,7 +13,7 @@ from ineqbridge import (
 )
 from ineqbridge.distributions import _ghypo_cdf_convolution
 
-from helpers import hypoexp_cdf
+from helpers import hypoexp_cdf, quad_ghypo_cdf
 
 
 class TestParams:
@@ -106,6 +106,18 @@ class TestGHypoCdf:
             series_val = ghypo_cdf(g, t)
             conv_val = _ghypo_cdf_convolution(g, t)
             assert conv_val == pytest.approx(series_val, abs=2e-9)
+
+    @pytest.mark.parametrize("alpha, lam, n", [(400.0, 0.5, 40), (1e3, 0.5, 40), (1e4, 0.5, 120),
+                                               (50.0, 0.9, 120)])
+    def test_large_shape_gamma_sums_match_quadrature_oracle(self, alpha, lam, n):
+        # the gamma sum of the bias integral: a density spike far from 0 that the
+        # convolution route must not step over, and the series route below its budget
+        g = GHypoParams((n - 2) * alpha, 1.0 / (1.0 - lam), alpha, 1.0 / (1.0 + (n - 1) * lam))
+        sd = math.sqrt(g.alpha1 / g.beta1 ** 2 + g.alpha2 / g.beta2 ** 2)
+        for k in range(-6, 7):
+            t = g.mean + k * sd
+            oracle = quad_ghypo_cdf(g.alpha1, g.beta1, g.alpha2, g.beta2, t)
+            assert abs(ghypo_cdf(g, t) - oracle) <= 1e-11, k
 
     def test_empirical_cdf_within_dkw_bound(self):
         rng = np.random.default_rng(31)
