@@ -25,13 +25,16 @@ __all__ = [
 _TERM_CAP = 100_000
 _REL_EPS = 1e-16        # a term this small relative to the sum is negligible
 _STREAK = 3             # consecutive negligible terms required to stop
-_BLOCK = 128            # Phi2 series terms per numpy pass
+_BLOCK = 128            # series terms (Q's P series, Phi2's diagonals) per numpy pass
 _COLUMNS = 1024         # Phi2 points per pass, which bounds its (_BLOCK, _COLUMNS) arrays
 _SHIFT_RANGE = 650.0    # ln of the widest spread that one shifted cumsum keeps exact
 
 # Temme's uniform expansion serves s >= 20 and |x/s - 1| <= 0.3 (see reg_gamma_q).
 _TEMME_MIN_SHAPE = 20.0
 _TEMME_MAX_SIGMA = 0.3
+# elsewhere the power series serves x < max(s + 1, 5): below x = 5 the continued fraction
+# takes up to 81 iterations at small s, and at x >= 5 it takes at most 22 at every shape
+_SERIES_MIN_REACH = 5.0
 # d[k, n] of c_k(eta) = sum_n d[k, n] eta^n (DLMF 8.12.12-13): k < 10 powers of 1/s, n < 22
 # powers of eta, rounded from a 50-digit derivation that tests/helpers.py repeats
 _TEMME_D = np.array([
@@ -125,23 +128,44 @@ def _log_gamma_prefactor(s: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_stops(streak: np.ndarray, negligible: np.ndarray) -> tuple[np.ndarray, ...]:
+    # stops in one block of series terms, a row per term and a column per point: the points
+    # that reach their _STREAK-th consecutive negligible term (counting the `streak` of them
+    # that ended the previous block), the row of each stop, and the streak ending this block
+    flags = np.vstack((streak >= np.arange(_STREAK - 1, 0, -1)[:, None], negligible))
+    stop = np.logical_and.reduce([flags[d:d + len(negligible)] for d in range(_STREAK)])
+    done = stop.any(axis=0)
+    trailing = np.logical_and.accumulate(flags[:-_STREAK:-1], axis=0).sum(axis=0)
+    return done, stop[:, done].argmax(axis=0), trailing
+
+
 def _gamma_p_series(s: float, x: np.ndarray) -> np.ndarray:
-    # lower regularized P(s,x) for x < s+1; terms decrease monotonically
+    # lower regularized P(s,x) = e^-x x^s/Gamma(s) sum_k x^k/(s)_(k+1) (DLMF 8.7.1), _BLOCK
+    # terms per pass; terms decrease monotonically once k > x - s, and a point stops at its
+    # third consecutive term below _REL_EPS of its sum and leaves the batch
+    out = np.empty_like(x)
     ax = _log_gamma_prefactor(s, x)
-    term = np.full(x.shape, 1.0 / s)
-    total = term.copy()
-    streak = np.zeros(x.shape, dtype=np.int64)
-    for k in range(1, _TERM_CAP):
-        term = term * x / (s + k)
-        total += term
-        streak = np.where(term < _REL_EPS * total, streak + 1, 0)
-        if (streak >= _STREAK).all():
-            return np.exp(ax) * total
-    raise RuntimeError(f"incomplete gamma series hit the {_TERM_CAP}-term cap at s={s}")
+    col = np.arange(x.size)
+    term = total = np.full(x.shape, 1.0 / s)
+    streak = np.zeros(x.shape)
+    for k0 in range(1, _TERM_CAP, _BLOCK):
+        k = np.arange(k0, min(k0 + _BLOCK, _TERM_CAP), dtype=float)[:, None]
+        terms = term * np.cumprod(x / (s + k), axis=0)
+        totals = np.cumsum(np.vstack((total, terms)), axis=0)[1:]
+        done, row, streak = _block_stops(streak, terms < _REL_EPS * totals)
+        out[col[done]] = totals[row, done]
+        keep = ~done
+        col, x, streak = col[keep], x[keep], streak[keep]
+        term, total = terms[-1, keep], totals[-1, keep]
+        if not col.size:
+            return np.exp(ax) * out
+    raise RuntimeError(
+        f"incomplete gamma series hit the {_TERM_CAP}-term cap (s={s}, max x={float(np.max(x))})"
+    )
 
 
 def _gamma_q_contfrac(s: float, x: np.ndarray) -> np.ndarray:
-    # upper regularized Q(s,x) for x >= s+1 by the modified Lentz continued fraction
+    # upper regularized Q(s,x) for x >= max(s+1, 5) by the modified Lentz continued fraction
     ax = _log_gamma_prefactor(s, x)
     tiny = 1e-300
     b = x + 1.0 - s
@@ -158,9 +182,13 @@ def _gamma_q_contfrac(s: float, x: np.ndarray) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h = h * delta
-        if np.all(np.abs(delta - 1.0) < 1e-15):
+        pending = np.abs(delta - 1.0) >= 1e-15
+        if not pending.any():
             return np.exp(ax) * h
-    raise RuntimeError(f"incomplete gamma continued fraction hit the {_TERM_CAP}-term cap at s={s}")
+    raise RuntimeError(
+        f"incomplete gamma continued fraction hit the {_TERM_CAP}-term cap "
+        f"(s={s}, max x={float(np.max(x[pending]))})"
+    )
 
 
 def _log1pmx(u: np.ndarray) -> np.ndarray:
@@ -193,12 +221,19 @@ def reg_gamma_q(s: float, x):
       8.12.3-4 with a frozen 10 x 22 table of the 8.12.12 coefficients),
       whose cost does not grow with s; within 5e-16 (worst seen 1.1e-16)
       for s from 20 to 1e10.
-    - any other x < s+1: the power series of P = 1 - Q;
-    - any other x >= s+1: the modified Lentz continued fraction.
+    - any other x < max(s+1, 5): the power series of P = 1 - Q (DLMF
+      8.7.1), summed 128 terms per numpy pass, each point stopping on its
+      own at three terms below 1e-16 of its sum, so its value does not
+      depend on the rest of the batch;
+    - any other x >= max(s+1, 5): the modified Lentz continued fraction,
+      which there needs at most 22 iterations at every shape.
 
     The last two carry a log-space prefactor and are within 1e-14 (worst
     seen 4.2e-15, near x = s at s = 10); at s >= 20 they only meet
-    |x/s - 1| > 0.3, where they are within 1e-16.
+    |x/s - 1| > 0.3, where they are within 1e-16.  Below s = 4 the series
+    also serves s+1 <= x < 5, where 1 - P is within 2.4e-15 absolute but
+    only 1e-9 relative where Q is small (worst seen 8.6e-10 at s = 1e-3
+    near x = 5, where Q = 1.2e-6).
     """
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
@@ -214,7 +249,7 @@ def reg_gamma_q(s: float, x):
     temme = lo & (s >= _TEMME_MIN_SHAPE) & (np.abs(flat - s) <= _TEMME_MAX_SIGMA * s)
     if temme.any():
         out[temme] = _gamma_q_temme(s, flat[temme])
-    series = lo & ~temme & (flat < s + 1.0)
+    series = lo & ~temme & (flat < max(s + 1.0, _SERIES_MIN_REACH))
     if series.any():
         out[series] = 1.0 - _gamma_p_series(s, flat[series])
     cf = lo & ~temme & ~series
@@ -258,14 +293,10 @@ def _log_phi2_columns(a: float, c: float, x: np.ndarray, y: np.ndarray) -> np.nd
             mt = np.maximum(log_r.max(axis=0), lt)  # the running sums, shifted by their largest term
             term = np.exp(log_r - mt)
             total = np.cumsum(term, axis=0) + np.exp(lt - mt)
-            # whether each of the _STREAK - 1 terms before the block, then each term, is negligible
-            flags = np.vstack((streak >= np.arange(_STREAK - 1, 0, -1)[:, None], term < _REL_EPS * total))
-            stop = np.logical_and.reduce([flags[d:d + i.size] for d in range(_STREAK)])
-            done = stop.any(axis=0)
-            out[col[done]] = base[done] + mt[done] + np.log(total[stop[:, done].argmax(axis=0), done])
+            done, row, streak = _block_stops(streak, term < _REL_EPS * total)
+            out[col[done]] = base[done] + mt[done] + np.log(total[row, done])
             keep = ~done
-            col, base, lr, mt, x, y, y0 = (v[keep] for v in (col, base, lr, mt, x, y, y0))
-            streak = np.logical_and.accumulate(flags[:-_STREAK:-1, keep], axis=0).sum(axis=0)
+            col, base, lr, mt, x, y, y0, streak = (v[keep] for v in (col, base, lr, mt, x, y, y0, streak))
             u = lr + log_v[-1, keep] - log_r[-1, keep]
             lt = mt + np.log(total[-1, keep])
             shift = np.floor(lt)

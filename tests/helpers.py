@@ -74,8 +74,8 @@ def mp_temme_coefficients(k_count: int, n_count: int) -> list[list[mp.mpf]]:
     return [row[:n_count] for row in rows]
 
 
-def mp_gamma_index(alpha: float, lam: float) -> float:
-    """Gamma index E_{X2}[g(lam*X2 + c)] / (2 alpha) in 25-digit arithmetic.
+def mp_gamma_index(alpha: float, lam: float, dps: int = 25) -> float:
+    """Gamma index E_{X2}[g(lam*X2 + c)] / (2 alpha) in `dps`-digit arithmetic.
 
     g(y) = E|X1 - y| = alpha - y + 2[y P(alpha, y) - alpha P(alpha+1, y)] and
     c = (1-lam) alpha.  With h(x) = e^-x g(lam x + c) / Gamma(alpha), the
@@ -83,7 +83,7 @@ def mp_gamma_index(alpha: float, lam: float) -> float:
     which takes the x^(alpha-1) singularity out of the quadrature; the rest
     is split around the mode so the peak at large alpha is resolved.
     """
-    with mp.workdps(25):
+    with mp.workdps(dps):
         a = mp.mpf(alpha)
         lm = mp.mpf(lam)
         c = (1 - lm) * a
@@ -136,6 +136,23 @@ def phi2_stop_term(a, c, x, y) -> int:
         if streak == 3:
             return s
     raise RuntimeError(f"phi2_stop_term did not stop at a={a}, c={c}, x={x}, y={y}")
+
+
+def gamma_series_stop_term(s, x) -> int:
+    """Term at which the float64 series of P(s, x) stops, summed one term at a time.
+
+    The terms are x^k/(s(s+1)...(s+k)); the stop is the third consecutive term
+    below 1e-16 of the sum so far.
+    """
+    term = total = 1.0 / s
+    streak = 0
+    for k in range(1, 100_000):
+        term *= x / (s + k)
+        total += term
+        streak = streak + 1 if term < 1e-16 * total else 0
+        if streak == 3:
+            return k
+    raise RuntimeError(f"gamma_series_stop_term did not stop at s={s}, x={x}")
 
 
 def beta_gauss_nodes(a: float, b: float, count: int) -> tuple[np.ndarray, np.ndarray]:

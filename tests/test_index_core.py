@@ -106,9 +106,12 @@ class TestGammaClosedForms:
         assert gamma_index(2.0, 1e-4) == pytest.approx(gamma_hoover(2.0), abs=1e-8)
 
     def test_small_weights_match_oracle(self):
+        # at 15 digits the oracle is within 2.2e-16 of its 25-digit value at all 25
+        # points and takes about half the time
         for alpha in (1e-3, 0.5, 2.0, 50.0, 1e3):
             for lam in (1e-8, 1e-6, 1e-4, 1e-3, 0.01):
-                assert gamma_index(alpha, lam) == pytest.approx(mp_gamma_index(alpha, lam), abs=1e-10)
+                ref = mp_gamma_index(alpha, lam, dps=15)
+                assert gamma_index(alpha, lam) == pytest.approx(ref, abs=1e-10)
 
     def test_large_shape_matches_oracle(self):
         for lam in (0.01, 0.5):

@@ -7,7 +7,8 @@ import pytest
 from ineqbridge import log_humbert_phi2, reg_gamma_q, specfun
 from ineqbridge.specfun import _BLOCK, _TEMME_D
 
-from helpers import erfc_series, mp_phi2_unit, mp_reg_q, mp_temme_coefficients, phi2_stop_term
+from helpers import (erfc_series, gamma_series_stop_term, mp_phi2_unit, mp_reg_q, mp_temme_coefficients,
+                     phi2_stop_term)
 
 # frozen oracle outputs (recomputed below to guard the freeze itself)
 ERFC_1 = 0.15729920705028513
@@ -99,6 +100,66 @@ class TestRegGammaQ:
                 xs = s * np.linspace(edge - 0.01, edge + 0.01, 401)
                 assert np.any(np.abs(xs - s) <= 0.3 * s) and np.any(np.abs(xs - s) > 0.3 * s)
                 assert (np.diff(reg_gamma_q(s, xs)) <= 1e-15).all(), (s, edge)
+
+    def test_both_sides_of_the_series_switch(self, monkeypatch):
+        # below Temme's shapes the power series serves x < max(s + 1, 5), the continued
+        # fraction the rest; both sides of x = 5 and of x = s + 1
+        routes = []
+        for name in ("_gamma_p_series", "_gamma_q_contfrac"):
+            def traced(s, x, name=name, f=getattr(specfun, name)):
+                routes.append(name)
+                return f(s, x)
+            monkeypatch.setattr(specfun, name, traced)
+        for s in (1e-3, 0.1, 0.5, 1.5, 3.9, 4.0, 4.1):
+            for edge in (5.0, s + 1.0):
+                for x in (edge * (1.0 - 1e-9), edge, edge * (1.0 + 1e-9)):
+                    routes.clear()
+                    assert reg_gamma_q(s, x) == pytest.approx(mp_reg_q(s, x), abs=1e-14), (s, x)
+                    series = x < max(s + 1.0, 5.0)
+                    assert routes == ["_gamma_p_series" if series else "_gamma_q_contfrac"], (s, x)
+
+    def test_monotone_across_the_series_switch(self):
+        xs = np.linspace(4.9, 5.1, 401)
+        for s in (1e-3, 0.1, 0.5, 1.5, 3.9):
+            assert (np.diff(reg_gamma_q(s, xs)) <= 1e-15).all(), s
+
+    def test_series_stops_on_both_sides_of_a_block_boundary(self, monkeypatch):
+        # the series stops at its third consecutive term below 1e-16 of its sum; that
+        # term falls just before, on and just after the end of the first block, and a
+        # cap just above it is enough while a cap at it is not
+        s = 500.0
+        xs = np.arange(400.0, 450.0, 0.25)
+        stops = [gamma_series_stop_term(s, x) for x in xs]
+        for target in range(_BLOCK - 1, _BLOCK + 3):
+            x = float(xs[stops.index(target)])
+            ref = float(mp.gammainc(s, 0, x, regularized=True))
+            monkeypatch.setattr(specfun, "_TERM_CAP", target + 1)
+            assert specfun._gamma_p_series(s, np.array([x]))[0] == pytest.approx(ref, rel=1e-14), target
+            monkeypatch.setattr(specfun, "_TERM_CAP", target)
+            with pytest.raises(RuntimeError, match=f"{target}-term cap"):
+                specfun._gamma_p_series(s, np.array([x]))
+
+    def test_series_points_do_not_depend_on_their_batch(self):
+        for s in (1e-3, 0.5, 3.9, 12.0):
+            x = np.array([1e-6, 0.02, 0.7, 2.0, 4.9, s + 0.9, 0.3 * s])
+            assert (x < max(s + 1.0, 5.0)).all()
+            together = reg_gamma_q(s, x)
+            for xi, got in zip(x, together):
+                assert got == reg_gamma_q(s, xi), (s, xi)
+            assert np.array_equal(reg_gamma_q(s, x[::-1]), together[::-1])
+        # points of the bare series that stop in different blocks
+        x = np.array([100.0, 700.0, 800.0, 900.0, 1000.0])
+        assert len({(gamma_series_stop_term(1e3, xi) - 1) // _BLOCK for xi in x}) == 3
+        together = specfun._gamma_p_series(1e3, x)
+        for xi, got in zip(x, together):
+            assert got == specfun._gamma_p_series(1e3, np.array([xi]))[0], xi
+
+    def test_term_caps_name_the_arguments(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_TERM_CAP", 10)
+        with pytest.raises(RuntimeError, match=r"series hit the 10-term cap \(s=0\.5, max x=3\.0\)"):
+            reg_gamma_q(0.5, [0.001, 2.0, 3.0])
+        with pytest.raises(RuntimeError, match=r"fraction hit the 10-term cap \(s=0\.5, max x=7\.0\)"):
+            reg_gamma_q(0.5, [7.0, 6.0, 300.0])
 
 
 class TestHumbertPhi2:
