@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
 
 from .bias_analysis import BiasQuery, expected_i_hat
 from .estimators import g_hat, h_hat, i_hat_fast
-from .index_core import gamma_index, lambda_path
+from .index_core import gamma_index, lambda_grid, lambda_path
 from .mc_harness import (
     ScenarioFailure,
     SimConfig,
@@ -135,7 +136,7 @@ def _read_column(path: str, column: str, quiet: bool) -> list[float]:
                 except ValueError:
                     skipped += 1
                     continue
-                if not np.isfinite(v) or v < 0.0:
+                if not math.isfinite(v) or v < 0.0:
                     skipped += 1
                     continue
                 values.append(v)
@@ -193,18 +194,17 @@ def _cmd_estimate(args) -> int:
     try:
         if args.svg and args.path is None:
             raise ValueError("--svg requires --path")
-        lambdas = _float_list(args.lambdas)
-        # one float64 array, so the estimator calls below do not each convert the list
+        lambdas = sorted(_float_list(args.lambdas))
         values = np.array(_read_column(args.input, args.column, args.quiet), dtype=float)
-        rows = [("Hoover", h_hat(values))]
-        for lam in sorted(lambdas):
-            rows.append((f"I_{lam:g}", i_hat_fast(values, lam)))
+        grid = [] if args.path is None else lambda_grid(args.path)
+        # one call sorts and sums the sample once for the rows and the path
+        estimates = i_hat_fast(values, lambdas + grid).tolist()
+        rows = [("Hoover", h_hat(values))] + [(f"I_{lam:g}", v) for lam, v in zip(lambdas, estimates)]
         rows.append(("Gini", g_hat(values)))
+        points = list(zip(grid, estimates[len(lambdas):]))
         # every step that can fail runs before the first line is printed
-        if args.path is not None:
-            points = lambda_path(lambda lam: i_hat_fast(values, lam), args.path)
-            if args.svg:
-                _write_svg(args.svg, points)
+        if args.svg:
+            _write_svg(args.svg, points)
         if args.format == "csv":
             print("Measure,Value")
             for name, value in rows:

@@ -9,6 +9,8 @@ Every estimator takes one sample (a 1-D array), which gives a float, or an
 (R, n) array of R samples, which gives one estimate per row in one pass
 over the block.  A row's estimate is bit-identical to the 1-D call on that
 row: the same element-wise arithmetic and the same fsum of each row.
+i_hat_fast also takes a 1-D sequence of weights and then sorts and sums each
+sample once for all of them, every entry bit-identical to the scalar call.
 
 Sums are accumulated with error-free transformations (math.fsum), which
 keeps mixed-magnitude samples honest at the 1e-12 level.
@@ -37,10 +39,10 @@ def _estimate(core, values, min_n: int, *args):
     """Common start of every estimator: validate the samples, take their means,
     then return core(x, n, xbar, *args) for the rows with a non-zero mean.
 
-    `values` is one sample (1-D), which gives a float, or an (R, n) array
-    of R samples, which gives an array of R estimates.  A 1-D sample runs as
-    a block of one row.  A zero mean (an all-zero sample, or a sum so small
-    that the mean underflows) yields 0 without reaching the core.
+    `values` is one sample (1-D), which gives the core's row (a float if that
+    is one number), or an (R, n) block of R samples, which gives the (R, ...)
+    array.  A zero mean (an all-zero sample, or a sum so small that the mean
+    underflows) gives its row 0 without the row reaching the core.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim not in (1, 2):
@@ -58,10 +60,11 @@ def _estimate(core, values, min_n: int, *args):
     if live.all():
         est = core(rows, n, xbar, *args)
     else:
-        est = np.zeros(len(rows))
-        if live.any():
-            est[live] = core(rows[live], n, xbar[live], *args)
-    return float(est[0]) if x.ndim == 1 else est
+        part = core(rows[live], n, xbar[live], *args)
+        est = np.zeros((len(rows),) + part.shape[1:])
+        est[live] = part
+    est = est if x.ndim == 2 else est[0]
+    return float(est) if est.ndim == 0 else est
 
 
 def _row_fsums(a: np.ndarray) -> np.ndarray:
@@ -77,22 +80,11 @@ def _hoover(x, n, xbar):
     return _abs_dev_sums(x, xbar) / (2.0 * n * xbar)
 
 
-def _gini(x, n, xbar):
-    xs = np.sort(x, axis=1)
+def _gini(x, n, xbar, presorted=False):
+    xs = x if presorted else np.sort(x, axis=1)
     # sum_{i<j} |Xi - Xj| = sum_k (2k - n + 1) * x_(k) over the sorted sample
     pair_sum = _row_fsums((2.0 * np.arange(n) - (n - 1)) * xs)
     return pair_sum / (n * (n - 1) * xbar)
-
-
-def _bridge(interior, values, lam: float):
-    # the endpoints run the Hoover and Gini cores, so I_0 = H and I_1 = G
-    # hold exactly, summation order included
-    lam = check_lambda(lam)
-    if lam == 0.0:
-        return _estimate(_hoover, values, 2)
-    if lam == 1.0:
-        return _estimate(_gini, values, 2)
-    return _estimate(interior, values, 2, lam)
 
 
 def _pairs_quadratic(x, n, xbar, lam):
@@ -104,24 +96,34 @@ def _pairs_quadratic(x, n, xbar, lam):
     return s / (2.0 * n * (n - 1) * xbar)
 
 
-def _pairs_sorted(x, n, xbar, lam):
+def _pairs_sorted(x, n, xbar, lams):
+    # (R, L) estimates at the list lams, (R,) at one float; the work every
+    # weight shares runs once per block, then one weight's (R, n) arrays at a time
+    weights = lams if isinstance(lams, list) else [lams]
     xs = np.sort(x, axis=1)
     prefix = np.zeros((len(x), n + 1))
     np.cumsum(xs, axis=1, out=prefix[:, 1:])
-    # the terms run over the sorted sample: math.fsum is correctly rounded, so
-    # their order leaves the sum as it is, and sorted keys make searchsorted
-    # several times faster on a large sample
-    a = xs - (1.0 - lam) * xbar[:, None]
-    with np.errstate(over="ignore"):
-        split = a / lam  # +-inf is a legitimate threshold when lam is tiny
+    dev = _abs_dev_sums(x, xbar)
+    est = np.empty((len(x), len(weights)))
     k = np.empty(x.shape, dtype=np.intp)
-    below = np.empty(x.shape)  # prefix[k], the sum of the sorted values <= split
-    for row in range(len(x)):
-        k[row] = np.searchsorted(xs[row], split[row], side="right")
-        below[row] = prefix[row][k[row]]
-    inner = a * (2 * k - n) + lam * (prefix[:, n:] - 2.0 * below)
-    s = _row_fsums(inner) - (1.0 - lam) * _abs_dev_sums(x, xbar)
-    return s / (2.0 * n * (n - 1) * xbar)
+    starts = np.arange(0, prefix.size, n + 1)[:, None]  # each row's offset in prefix.ravel()
+    for j, lam in enumerate(weights):
+        if lam == 0.0 or lam == 1.0:
+            # the Hoover and Gini arithmetic, so I_0 = H and I_1 = G hold exactly
+            est[:, j] = dev / (2.0 * n * xbar) if lam == 0.0 else _gini(xs, n, xbar, True)
+            continue
+        # the terms run over the sorted sample: math.fsum is correctly rounded,
+        # so their order leaves the sum as it is, and sorted keys make
+        # searchsorted several times faster on a large sample
+        a = xs - (1.0 - lam) * xbar[:, None]
+        with np.errstate(over="ignore"):
+            split = a / lam  # +-inf is a legitimate threshold when lam is tiny
+        for row in range(len(x)):
+            k[row] = np.searchsorted(xs[row], split[row], side="right")
+        below = prefix.ravel()[starts + k]  # prefix[k], the sum of the sorted values <= split
+        inner = a * (2 * k - n) + lam * (prefix[:, n:] - 2.0 * below)
+        est[:, j] = (_row_fsums(inner) - (1.0 - lam) * dev) / (2.0 * n * (n - 1) * xbar)
+    return est if weights is lams else est[:, 0]
 
 
 def h_hat(values) -> float:
@@ -140,17 +142,29 @@ def i_hat(values, lam: float) -> float:
     The lam = 0 and lam = 1 endpoints equal h_hat and g_hat exactly,
     summation order included.
     """
-    return _bridge(_pairs_quadratic, values, lam)
+    lam = check_lambda(lam)
+    if lam == 0.0 or lam == 1.0:
+        return _estimate(_gini if lam else _hoover, values, 2)
+    return _estimate(_pairs_quadratic, values, 2, lam)
 
 
-def i_hat_fast(values, lam: float) -> float:
+def i_hat_fast(values, lam):
     """Sort-based O(n log n) evaluation, identical to i_hat up to roundoff.
 
     For each i the inner sum over j of |a_i - lam*Xj| (a_i = Xi - (1-lam)Xbar)
     comes from prefix sums of the sorted sample split at a_i/lam; values tied
     with the split point contribute zero from either side.
+
+    `lam` is one weight or a 1-D sequence of L weights, which gives an (L,)
+    array for a sample and an (R, L) array for an (R, n) block, each entry
+    bit-identical to the scalar call on its row and weight (lam = 0 and 1
+    equal h_hat and g_hat exactly).  Each weight passes check_lambda; an empty
+    sequence gives a (0,) or (R, 0) array once the sample is checked.
     """
-    return _bridge(_pairs_sorted, values, lam)
+    if np.ndim(lam) > 1:
+        raise ValueError(f"weights must be one number or a 1-D sequence, got shape {np.shape(lam)}")
+    lams = check_lambda(lam) if np.ndim(lam) == 0 else [check_lambda(v) for v in lam]
+    return _estimate(_pairs_sorted, values, 2, lams)
 
 
 class SummaryStats(NamedTuple):

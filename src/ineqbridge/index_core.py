@@ -175,14 +175,18 @@ def j_index(hoover: float, gini: float, lam: float) -> float:
     return (1.0 - lam) * float(hoover) + lam * float(gini)
 
 
-def lambda_path(evaluator, grid_size: int) -> list[tuple[float, float]]:
-    """Evaluate lam -> value on a uniform grid over [0, 1] inclusive."""
+def lambda_grid(grid_size: int) -> list[float]:
+    """The weights i / (grid_size - 1), a uniform grid over [0, 1] inclusive."""
     grid_size = int(grid_size)
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    return [i / (grid_size - 1) for i in range(grid_size)]
+
+
+def lambda_path(evaluator, grid_size: int) -> list[tuple[float, float]]:
+    """Evaluate lam -> value at each weight of lambda_grid(grid_size)."""
     out = []
-    for i in range(grid_size):
-        lam = i / (grid_size - 1)
+    for lam in lambda_grid(grid_size):
         try:
             out.append((lam, float(evaluator(lam))))
         except Exception as exc:

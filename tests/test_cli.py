@@ -4,10 +4,41 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from ineqbridge import GammaParams, gamma_hoover, gamma_sample, i_hat_fast
+from ineqbridge import GammaParams, g_hat, gamma_hoover, gamma_sample, h_hat, i_hat_fast
 from ineqbridge.cli import main
 
 FIXTURE = str(files("ineqbridge").joinpath("data/gdp_per_capita_americas.csv"))
+
+FIXTURE_ESTIMATE = """\
+Measure,Value
+Hoover,0.23264460253738242
+I_0.1,0.23450690291972806
+I_0.5,0.26193435247126323
+I_0.9,0.31615553941010516
+Gini,0.33228723205357957
+lambda,value
+0,0.23264460253738242
+0.05,0.23321672592056764
+0.1,0.23450690291972806
+0.15,0.23636680356970644
+0.2,0.23868415579235644
+0.25,0.24134615629759859
+0.3,0.24439679108595716
+0.35,0.24810298271126729
+0.4,0.25222075361783852
+0.45,0.25680528814194276
+0.5,0.26193435247126323
+0.55,0.26738064094745306
+0.6,0.27321909353497359
+0.65,0.27960625401677797
+0.7,0.28635930063557524
+0.75,0.29341083393472217
+0.8,0.30074095966338682
+0.85,0.30838044024494859
+0.9,0.31615553941010516
+0.95,0.32409244949404015
+1,0.33228723205357957
+"""
 
 
 def run_cli(capsys, *argv):
@@ -149,11 +180,35 @@ class TestEstimateCommand:
         assert not (tmp_path / "x.svg").exists()
 
     def test_bad_path_prints_nothing(self, capsys):
+        for size in ("1", "0", "-3"):
+            code, out, err = run_cli(capsys, "estimate", "--input", FIXTURE,
+                                     "--column", "gdp_per_capita_ppp", "--path", size, "--quiet")
+            assert code == 1
+            assert "grid_size must be >= 2" in err
+            assert out == ""
+
+    def test_fixture_output_is_unchanged(self, capsys):
+        # recorded from the one-call-per-weight CLI; the rows and the path
+        # now come from one i_hat_fast call over all 24 weights
         code, out, err = run_cli(capsys, "estimate", "--input", FIXTURE,
-                                 "--column", "gdp_per_capita_ppp", "--path", "1", "--quiet")
-        assert code == 1
-        assert "grid_size must be >= 2" in err
-        assert out == ""
+                                 "--column", "gdp_per_capita_ppp", "--path", "21",
+                                 "--lambdas", "0.1,0.5,0.9", "--format", "csv", "--digits", "17")
+        assert code == 0
+        assert err == "skipped 2 row(s) with missing or non-numeric 'gdp_per_capita_ppp'\n"
+        assert out == FIXTURE_ESTIMATE
+
+    def test_unusable_cells_are_skipped(self, tmp_path, capsys):
+        # -0.0 is a usable zero; infinities, nan, negatives and text are not
+        f = tmp_path / "cells.csv"
+        f.write_text("v\n1\ninf\n3\nnan\n-2\n-0.0\n-inf\n1e400\nabc\nInfinity\n-1e-300\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(f), "--column", "v",
+                                 "--lambdas", "0.5", "--format", "csv", "--digits", "17")
+        assert code == 0
+        assert "skipped 8 row(s)" in err
+        usable = [1.0, 3.0, -0.0]
+        assert out.splitlines()[1:] == [f"Hoover,{h_hat(usable):.17f}",
+                                        f"I_0.5,{i_hat_fast(usable, 0.5):.17f}",
+                                        f"Gini,{g_hat(usable):.17f}"]
 
 
 class TestBiasCommand:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ineqbridge import (
     i_hat_fast,
     summarize,
 )
+from ineqbridge.index_core import check_lambda
 
 # zero is a meaningful observation; subnormal magnitudes are not incomes and
 # would only probe float underflow, so positive draws start at 1e-3
@@ -169,6 +171,75 @@ class TestBlocks:
             got = est(x)
             assert isinstance(got, np.ndarray) and got.shape == (len(x),)
             assert got.tolist() == [est(row) for row in x]
+
+    @given(sample_blocks(), st.lists(st.one_of(st.sampled_from([0.0, 1e-12, 1.0]), weights), max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_weight_vector_equals_scalar_calls(self, x, lams):
+        got = i_hat_fast(x, lams)
+        assert got.shape == (len(x), len(lams))
+        assert got.tolist() == [[i_hat_fast(row, lam) for lam in lams] for row in x]
+
+
+# unsorted and repeated, with both endpoints and the extremes of the interior
+EDGE_WEIGHTS = [0.5, 1.0, 5e-324, 0.0, 1e-300, 1.0 - 2.0 ** -53, 0.5, 0.25, 1.0, 0.0, 0.999]
+
+
+class TestWeightVector:
+    def test_entries_equal_scalar_calls(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 7, 50, 1_000, 48_500):
+            x = rng.lognormal(0.0, 1.0, size=n)
+            x = np.round(x, 1 if n > 3 else 3)  # ties, and zeros at the bottom
+            got = i_hat_fast(x, EDGE_WEIGHTS)
+            assert isinstance(got, np.ndarray) and got.shape == (len(EDGE_WEIGHTS),)
+            for value, lam in zip(got.tolist(), EDGE_WEIGHTS):
+                assert value == i_hat_fast(x, lam), (n, lam)
+            assert got[EDGE_WEIGHTS.index(0.0)] == h_hat(x)
+            assert got[EDGE_WEIGHTS.index(1.0)] == g_hat(x)
+
+    def test_block_gives_rows_by_weights(self):
+        rng = np.random.default_rng(14)
+        lams = rng.uniform(0.0, 1.0, size=6).tolist() + EDGE_WEIGHTS
+        block = np.round(rng.lognormal(0.0, 1.0, size=(5, 40)), 1)
+        block[2] = 0.0
+        got = i_hat_fast(block, np.array(lams))
+        assert got.shape == (5, len(lams))
+        for row, values in zip(block, got):
+            assert values.tolist() == i_hat_fast(row, lams).tolist()
+            assert values.tolist() == [i_hat_fast(row, lam) for lam in lams]
+        assert got[2].tolist() == [0.0] * len(lams)
+
+    def test_all_zero_samples_give_zero(self):
+        assert i_hat_fast([0.0, 0.0, 0.0], EDGE_WEIGHTS).tolist() == [0.0] * len(EDGE_WEIGHTS)
+        assert i_hat_fast(np.zeros((3, 4)), (0.2, 1.0)).tolist() == [[0.0, 0.0]] * 3
+
+    def test_scalar_weight_keeps_its_shapes(self):
+        x = [1.0, 2.0, 4.0]
+        assert type(i_hat_fast(x, 0.3)) is float
+        assert type(i_hat_fast(x, np.float64(0.3))) is float
+        assert i_hat_fast(x, np.array(0.3)) == i_hat_fast(x, [0.3])[0] == i_hat_fast(x, 0.3)
+        assert i_hat_fast([x, x], 0.3).shape == (2,)
+
+    def test_bad_weight_is_named(self):
+        for bad in (1.5, -0.25, math.nan, math.inf):
+            with pytest.raises(ValueError) as expected:
+                check_lambda(bad)
+            for lams in ([bad], [0.2, bad, 0.7], [0.0, 1.0, bad]):
+                with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                    i_hat_fast([1.0, 2.0, 4.0], lams)
+
+    def test_nested_weights_rejected(self):
+        with pytest.raises(ValueError, match="1-D sequence"):
+            i_hat_fast([1.0, 2.0], [[0.5]])
+
+    def test_empty_weights_give_empty_result(self):
+        # the sample is still checked; only the per-weight work is absent
+        assert i_hat_fast([1.0, 2.0, 4.0], []).shape == (0,)
+        assert i_hat_fast(np.ones((3, 4)), ()).shape == (3, 0)
+        assert i_hat_fast(np.zeros((3, 4)), []).shape == (3, 0)
+        for bad in ([1.0], [1.0, -2.0], [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                i_hat_fast(bad, [])
 
 
 class TestSummarize:
