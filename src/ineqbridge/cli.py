@@ -125,15 +125,14 @@ def _read_column(path: str, column: str, quiet: bool) -> list[float]:
                 raise ValueError(f"column {column!r} not found; available: {', '.join(names)}")
             idx = names.index(column)
             for row in reader:
-                if not row or all(cell.strip() == "" for cell in row):
-                    continue
                 try:
-                    cell = row[idx]
-                except IndexError:
-                    raise ValueError(f"row {reader.line_num}: too few fields") from None
-                try:
-                    v = float(cell)
-                except ValueError:
+                    v = float(row[idx])
+                except (IndexError, ValueError):
+                    # only a row whose cell is missing or not a number can be blank
+                    if all(cell.strip() == "" for cell in row):
+                        continue
+                    if len(row) <= idx:
+                        raise ValueError(f"row {reader.line_num}: too few fields") from None
                     skipped += 1
                     continue
                 if not math.isfinite(v) or v < 0.0:

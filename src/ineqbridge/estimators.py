@@ -13,7 +13,11 @@ i_hat_fast also takes a 1-D sequence of weights and then sorts and sums each
 sample once for all of them, every entry bit-identical to the scalar call.
 
 Sums are accumulated with error-free transformations (math.fsum), which
-keeps mixed-magnitude samples honest at the 1e-12 level.
+keeps mixed-magnitude samples honest at the 1e-12 level; each row is summed
+from a memoryview slice of the block, not from a list of its elements.  Per
+weight, i_hat_fast counts the sorted values <= each split a_i/lam by one
+stable argsort of the whole block, each row its sorted values followed by its
+sorted splits, not by one searchsorted per row.
 """
 
 from __future__ import annotations
@@ -68,8 +72,11 @@ def _estimate(core, values, min_n: int, *args):
 
 
 def _row_fsums(a: np.ndarray) -> np.ndarray:
-    # math.fsum over each row's list in element order, the sum a 1-D call takes
-    return np.array([math.fsum(row) for row in a.tolist()])
+    # fsum of each row's slice of one flat memoryview: a 1-D call's doubles in its
+    # order, with no list of floats (.ravel(), as .cast raises on an empty block)
+    n = a.shape[1]
+    flat = memoryview(np.ascontiguousarray(a).ravel())
+    return np.array([math.fsum(flat[i:i + n]) for i in range(0, len(flat), n)])
 
 
 def _abs_dev_sums(x: np.ndarray, xbar: np.ndarray) -> np.ndarray:
@@ -105,21 +112,25 @@ def _pairs_sorted(x, n, xbar, lams):
     np.cumsum(xs, axis=1, out=prefix[:, 1:])
     dev = _abs_dev_sums(x, xbar)
     est = np.empty((len(x), len(weights)))
-    k = np.empty(x.shape, dtype=np.intp)
     starts = np.arange(0, prefix.size, n + 1)[:, None]  # each row's offset in prefix.ravel()
+    # each row is its sorted sample, then its sorted splits: a stable sort puts a
+    # value equal to a split before it, so split j lands at k_j + j, where k_j
+    # counts the values <= split j, the count searchsorted(side="right") gives
+    merged = np.empty((len(x), 2 * n))
+    merged[:, :n] = xs
+    lands = np.arange(0, merged.size, 2 * n)[:, None] + np.arange(n)
     for j, lam in enumerate(weights):
         if lam == 0.0 or lam == 1.0:
             # the Hoover and Gini arithmetic, so I_0 = H and I_1 = G hold exactly
             est[:, j] = dev / (2.0 * n * xbar) if lam == 0.0 else _gini(xs, n, xbar, True)
             continue
         # the terms run over the sorted sample: math.fsum is correctly rounded,
-        # so their order leaves the sum as it is, and sorted keys make
-        # searchsorted several times faster on a large sample
+        # so their order leaves the sum as it is, and the splits come out sorted
         a = xs - (1.0 - lam) * xbar[:, None]
         with np.errstate(over="ignore"):
-            split = a / lam  # +-inf is a legitimate threshold when lam is tiny
-        for row in range(len(x)):
-            k[row] = np.searchsorted(xs[row], split[row], side="right")
+            np.divide(a, lam, out=merged[:, n:])  # +-inf is a legitimate split when lam is tiny
+        order = np.argsort(merged, axis=1, kind="stable")
+        k = np.flatnonzero(order >= n).reshape(x.shape) - lands
         below = prefix.ravel()[starts + k]  # prefix[k], the sum of the sorted values <= split
         inner = a * (2 * k - n) + lam * (prefix[:, n:] - 2.0 * below)
         est[:, j] = (_row_fsums(inner) - (1.0 - lam) * dev) / (2.0 * n * (n - 1) * xbar)

@@ -264,3 +264,27 @@ def analytic_bias_table() -> dict[tuple[float, float, int], float]:
 def tilting_agrees(check, k: float = 4.0) -> bool:
     """Both Monte Carlo routes agree within k combined standard errors."""
     return abs(check.lhs_mc - check.rhs_analytic) <= k * math.hypot(check.lhs_se, check.rhs_se)
+
+
+def sorted_route_by_row(row: np.ndarray, lam: float) -> float:
+    """The sort-based plug-in index of one sample as the per-row route computes
+    it: math.fsum over each row's Python list, and one np.searchsorted of the
+    splits a_i/lam into the sorted sample.  The block estimator does the same
+    arithmetic and must equal this bit for bit."""
+    n = len(row)
+    xbar = math.fsum(row.tolist()) / n
+    if xbar == 0.0:
+        return 0.0
+    xs = np.sort(row)
+    dev = math.fsum(np.abs(row - xbar).tolist())
+    if lam == 0.0:
+        return dev / (2.0 * n * xbar)
+    if lam == 1.0:
+        return math.fsum(((2.0 * np.arange(n) - (n - 1)) * xs).tolist()) / (n * (n - 1) * xbar)
+    prefix = np.concatenate(([0.0], np.cumsum(xs)))
+    a = xs - (1.0 - lam) * xbar
+    with np.errstate(over="ignore"):
+        split = a / lam
+    k = np.searchsorted(xs, split, side="right")
+    inner = a * (2 * k - n) + lam * (prefix[n] - 2.0 * prefix[k])
+    return (math.fsum(inner.tolist()) - (1.0 - lam) * dev) / (2.0 * n * (n - 1) * xbar)

@@ -210,6 +210,25 @@ class TestEstimateCommand:
                                         f"I_0.5,{i_hat_fast(usable, 0.5):.17f}",
                                         f"Gini,{g_hat(usable):.17f}"]
 
+    def test_blank_rows_are_not_counted(self, tmp_path, capsys):
+        # blank, whitespace-only and short blank rows are passed over; a bad
+        # cell, or a blank cell beside a filled one, counts as skipped
+        f = tmp_path / "rows.csv"
+        f.write_text("id,v\n0,1\n\n   \n , \n,\n1,abc\n2,  \n3,4\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(f), "--column", "v",
+                                 "--lambdas", "0.5", "--format", "csv", "--digits", "17")
+        assert code == 0
+        assert err == "skipped 2 row(s) with missing or non-numeric 'v'\n"
+        assert out.splitlines()[1] == f"Hoover,{h_hat([1.0, 4.0]):.17f}"
+
+    def test_short_row_is_an_error(self, tmp_path, capsys):
+        f = tmp_path / "short.csv"
+        f.write_text("id,v\n0,1\n7\n2,3\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(f), "--column", "v")
+        assert code == 1
+        assert "row 3: too few fields" in err
+        assert out == ""
+
 
 class TestBiasCommand:
     def test_gini_weight(self, capsys):

@@ -15,7 +15,10 @@ from ineqbridge import (
     i_hat_fast,
     summarize,
 )
+from ineqbridge.estimators import _row_fsums
 from ineqbridge.index_core import check_lambda
+
+from helpers import sorted_route_by_row
 
 # zero is a meaningful observation; subnormal magnitudes are not incomes and
 # would only probe float underflow, so positive draws start at 1e-3
@@ -240,6 +243,50 @@ class TestWeightVector:
         for bad in ([1.0], [1.0, -2.0], [1.0, math.nan]):
             with pytest.raises(ValueError):
                 i_hat_fast(bad, [])
+
+
+class TestPerRowRoute:
+    """The block merge and the memoryview row sums against one searchsorted
+    and one fsum over a Python list per row, bit for bit."""
+
+    # at 5e-324 every split off zero is +-inf, at 1e-300 beyond every value
+    LAMS = [0.0, 5e-324, 1e-300, 1e-12, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 0.999, 1.0]
+
+    def assert_rows_match(self, block, lams=LAMS):
+        got = i_hat_fast(block, lams)
+        assert got.tolist() == [[sorted_route_by_row(row, lam) for lam in lams] for row in np.asarray(block)]
+
+    def test_seeded_blocks(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 10, 120):
+            self.assert_rows_match(rng.gamma(rng.uniform(0.2, 5.0), size=(64, n)))
+
+    def test_ties(self):
+        rng = np.random.default_rng(22)
+        for n in (2, 10, 120):
+            self.assert_rows_match(rng.integers(0, 5, size=(64, n)).astype(float))
+        # a split ties with a 3 here, and counting that 3 below the split, as
+        # searchsorted(side="right") does, changes the last bit
+        self.assert_rows_match(np.array([[2.0, 3.0, 3.0, 4.0], [3.0, 3.0, 3.0, 2.0]]), [0.9])
+
+    def test_split_equal_to_a_sample(self):
+        # (1 - lam) xbar = 1 is a sample value, and the splits -2, 0, 2, 4, 6 tie with 0, 2 and 4
+        x = np.array([[0.0, 1.0, 2.0, 3.0, 4.0]])
+        self.assert_rows_match(x, [0.5])
+
+    def test_zero_mean_rows_among_others(self):
+        block = np.round(np.random.default_rng(23).lognormal(0.0, 1.0, size=(8, 10)), 1)
+        block[[0, 3, 7]] = 0.0
+        self.assert_rows_match(block)
+
+    def test_non_contiguous_input(self):
+        wide = np.random.default_rng(24).gamma(2.0, size=(64, 40))
+        for block in (wide[:, ::2], wide[::3], np.asfortranarray(wide)):
+            assert not block.flags.c_contiguous
+            self.assert_rows_match(block)
+
+    def test_row_sums_of_an_empty_block(self):
+        assert _row_fsums(np.empty((0, 5))).shape == (0,)
 
 
 class TestSummarize:

@@ -128,7 +128,7 @@ class TestBlocks:
         run_scenario(c)
         compare_i_vs_j(c)
         assert all(len(shape) == 2 and shape[0] <= 64 and shape[1] == 10 for shape in shapes), shapes
-        assert sum(shape[0] for shape in shapes) == 4 * 130  # i_hat_fast twice, h_hat, g_hat
+        assert sum(shape[0] for shape in shapes) == 2 * 130  # i_hat_fast once in each
 
 
 class TestRunGrid:
