@@ -127,9 +127,16 @@ def gamma_index(alpha: float, lam: float) -> float:
     lam*s) Q(alpha, s) ds.  Its integrand falls on the scale of the shape
     whatever lam is, so it stops at the fixed cut U = alpha + 40 sqrt(alpha)
     + 40, past which int_U^inf Q(alpha, s) ds is below 1e-22 at every shape.
-    Checked against a 25-digit oracle within 1e-10: worst 1.7e-11 for
-    shapes 1e-3 to 1e3 and weights 1e-8 to 0.01, and 1.2e-14 at shape 1e4
-    for weights 0.01 and 0.5.  At shapes 3e8, 1e9 and 1e10 and weights 0.1,
+    Both Q factors of an integrand evaluation come from one reg_gamma_q call.
+    The first mesh fences in the falls at alpha -+ w and alpha -+ w/lam
+    (w = 8 sqrt(alpha)), splits alpha -+ w in steps of w/4 and, below shape
+    1, grades [0, 1] by the powers 4^-k, k = 0..15, toward the s^alpha
+    corner at 0; over the 10 shapes 1e-3 to 1e4 and 21 weights of `index
+    --grid 21` a value then takes at most 8 Q calls.
+    Checked against a 25-digit oracle within 1e-10: worst 5.9e-15 for
+    shapes 1e-3 to 1e3 and weights 1e-8 to 0.01, and 2.8e-14 at shape 1e4
+    for weights 0.01 and 0.5; those 210 grid values are within 2.3e-12 of
+    30-digit references.  At shapes 3e8, 1e9 and 1e10 and weights 0.1,
     0.5 and 0.9 it is within 5.2e-10 relative of the normal limit
     sqrt((1+lam^2)/(2 pi alpha)).
     """
@@ -146,14 +153,22 @@ def gamma_index(alpha: float, lam: float) -> float:
     term2 = lam * reg_gamma_q(alpha, c)
 
     def integrand(s):
-        return reg_gamma_q(alpha, c + lam * s) * reg_gamma_q(alpha, s)
+        # both factors share the shape, so one Q call serves them: each call costs
+        # mostly its fixed overhead, not its points
+        m = s.size
+        q = reg_gamma_q(alpha, np.concatenate((c + lam * s, s)))
+        return q[:m] * q[m:]
 
-    # both factors fall from 1 to 0 near s = alpha, over widths sqrt(alpha) and
-    # sqrt(alpha)/lam; at large shapes the first rule on [0, U] has no node
-    # there, so the falls are fenced in by breakpoints
+    # the first call should resolve the integrand, as each split costs a call: both
+    # factors fall from 1 to 0 near s = alpha, over widths sqrt(alpha) and
+    # sqrt(alpha)/lam, where at large shapes a rule on [0, U] has no node; below
+    # shape 1, Q(alpha, s) ~ 1 - s^alpha/Gamma(alpha+1) has an infinite slope at 0,
+    # which bisection approaches one interval per call (Q(1, s) = e^-s is smooth)
     cut, w = _gamma_bulk(alpha)
-    res = integrate_finite(integrand, 0.0, cut,
-                           breakpoints=(alpha - w, alpha + w, alpha - w / lam, alpha + w / lam))
+    mesh = [alpha - w / lam, alpha + w / lam] + [alpha + k * w / 4.0 for k in range(-4, 5)]
+    if alpha < 1.0:
+        mesh += [4.0 ** -k for k in range(16)]
+    res = integrate_finite(integrand, 0.0, cut, breakpoints=mesh)
     return term1 + term2 - lam * res.value / alpha
 
 

@@ -17,6 +17,8 @@ from ineqbridge import (
     reg_gamma_q,
 )
 
+from ineqbridge import index_core
+
 from helpers import mp_gamma_index, random_discrete
 
 import mpmath as mp
@@ -112,6 +114,31 @@ class TestGammaClosedForms:
             for lam in (1e-8, 1e-6, 1e-4, 1e-3, 0.01):
                 ref = mp_gamma_index(alpha, lam, dps=15)
                 assert gamma_index(alpha, lam) == pytest.approx(ref, abs=1e-10)
+
+    def test_both_sides_of_the_grading_switch_match_oracle(self):
+        # below shape 1 the first mesh is graded toward s = 0, from shape 1 on it is not
+        for alpha in (0.999, 1.001):
+            for lam in (0.05, 0.5, 0.95):
+                ref = mp_gamma_index(alpha, lam, dps=15)
+                assert gamma_index(alpha, lam) == pytest.approx(ref, abs=1e-10)
+
+    def test_each_value_takes_few_q_calls(self, monkeypatch):
+        # the first mesh resolves the integrand, so the adaptive loop seldom splits;
+        # a value that bisects toward a feature one interval per call made up to 59
+        calls = []
+
+        def counting_q(s, x):
+            calls.append(s)
+            return reg_gamma_q(s, x)
+
+        monkeypatch.setattr(index_core, "reg_gamma_q", counting_q)
+        most = (0, ())
+        for alpha in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e3, 1e4):
+            for lam in index_core.lambda_grid(21):
+                calls.clear()
+                gamma_index(alpha, lam)
+                most = max(most, (len(calls), (alpha, lam)))
+        assert most[0] <= 10, most
 
     def test_large_shape_matches_oracle(self):
         for lam in (0.01, 0.5):
