@@ -36,7 +36,7 @@ __all__ = [
     "TiltingCheck",
 ]
 
-_BIAS_ABS_TOL = 1e-9   # on the integral, which is then divided by n*alpha
+_BIAS_ABS_TOL = 1e-10  # on E[I_hat], so on the integral it is n*alpha times this
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ def expected_i_hat(q: BiasQuery) -> float:
     sd_sum = math.sqrt((n - 2) * alpha * (1.0 - lam) ** 2 + alpha * scale_sum ** 2)
     falls = (scale_q * (alpha - w), scale_q * (alpha + w),
              alpha * scale_q - 8.0 * sd_sum, alpha * scale_q + 8.0 * sd_sum)
-    res = integrate_finite(integrand, 0.0, cut * scale_q, abs_tol=_BIAS_ABS_TOL, breakpoints=falls)
+    res = integrate_finite(integrand, 0.0, cut * scale_q, abs_tol=_BIAS_ABS_TOL * n * alpha,
+                           breakpoints=falls)
     return (1.0 + (lam - 1.0) / n) - res.value / (n * alpha)
 
 

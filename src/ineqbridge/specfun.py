@@ -7,8 +7,9 @@ series needed by the gamma-sum distribution function.
 Everything is arranged so that summed series have non-negative terms and
 large prefactors live in log space: shape parameters beyond a thousand are
 routine, and near x = s at large shapes Q takes a uniform asymptotic
-expansion whose cost does not grow with s.  All functions are pure and
-safe for concurrent callers.
+expansion whose cost does not grow with s.  Each of Q's routes is one
+bounded pass, so a value depends only on (s, x).  All functions are pure
+and safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -22,19 +23,21 @@ __all__ = [
     "log_humbert_phi2",
 ]
 
-_TERM_CAP = 100_000
+_TERM_CAP = 100_000     # Phi2 diagonals before its series gives up
 _REL_EPS = 1e-16        # a term this small relative to the sum is negligible
 _STREAK = 3             # consecutive negligible terms required to stop
-_BLOCK = 128            # series terms (Q's P series, Phi2's diagonals) per numpy pass
+_BLOCK = 128            # Phi2 diagonals per numpy pass, and the most terms Q's P series may take
 _COLUMNS = 1024         # Phi2 points per pass, which bounds its (_BLOCK, _COLUMNS) arrays
 _SHIFT_RANGE = 650.0    # ln of the widest spread that one shifted cumsum keeps exact
 
 # Temme's uniform expansion serves s >= 20 and |x/s - 1| <= 0.3 (see reg_gamma_q).
 _TEMME_MIN_SHAPE = 20.0
 _TEMME_MAX_SIGMA = 0.3
-# elsewhere the power series serves x < max(s + 1, 5): below x = 5 the continued fraction
-# takes up to 81 iterations at small s, and at x >= 5 it takes at most 22 at every shape
+# elsewhere the power series serves x < max(s + 1, 5), and the continued fraction the rest:
+# below x = 5 the fraction would need up to 81 levels at small s, and at x >= 5 a fixed
+# _CF_DEPTH levels reach 3.3e-16 relative at every shape
 _SERIES_MIN_REACH = 5.0
+_CF_DEPTH = 26
 # d[k, n] of c_k(eta) = sum_n d[k, n] eta^n (DLMF 8.12.12-13): k < 10 powers of 1/s, n < 22
 # powers of eta, rounded from a 50-digit derivation that tests/helpers.py repeats
 _TEMME_D = np.array([
@@ -140,55 +143,39 @@ def _block_stops(streak: np.ndarray, negligible: np.ndarray) -> tuple[np.ndarray
 
 
 def _gamma_p_series(s: float, x: np.ndarray) -> np.ndarray:
-    # lower regularized P(s,x) = e^-x x^s/Gamma(s) sum_k x^k/(s)_(k+1) (DLMF 8.7.1), _BLOCK
-    # terms per pass; terms decrease monotonically once k > x - s, and a point stops at its
-    # third consecutive term below _REL_EPS of its sum and leaves the batch
-    out = np.empty_like(x)
-    ax = _log_gamma_prefactor(s, x)
-    col = np.arange(x.size)
-    term = total = np.full(x.shape, 1.0 / s)
-    streak = np.zeros(x.shape)
-    for k0 in range(1, _TERM_CAP, _BLOCK):
-        k = np.arange(k0, min(k0 + _BLOCK, _TERM_CAP), dtype=float)[:, None]
-        terms = term * np.cumprod(x / (s + k), axis=0)
-        totals = np.cumsum(np.vstack((total, terms)), axis=0)[1:]
-        done, row, streak = _block_stops(streak, terms < _REL_EPS * totals)
-        out[col[done]] = totals[row, done]
-        keep = ~done
-        col, x, streak = col[keep], x[keep], streak[keep]
-        term, total = terms[-1, keep], totals[-1, keep]
-        if not col.size:
-            return np.exp(ax) * out
-    raise RuntimeError(
-        f"incomplete gamma series hit the {_TERM_CAP}-term cap (s={s}, max x={float(np.max(x))})"
-    )
+    # lower regularized P(s,x) = e^-x x^s/Gamma(s) sum_k x^k/(s)_(k+1) (DLMF 8.7.1) in one numpy
+    # pass, a row per term; a point stops at its third consecutive term below _REL_EPS of its sum.
+    # Term k's share of the sum up to k, 1/sum_{j<=k} prod_{j<i<=k} (s+i)/x, grows with x, so the
+    # largest x stops last: its stop row, found with the same arithmetic, sizes the pass, which on
+    # the series domain (x < max(s+1, 5), and x < 0.7s at s >= 20) needs at most 102 rows
+    def partial_sums(xs, rows):
+        k = np.arange(1.0, rows + 1.0)[:, None]
+        first = np.full(xs.shape, 1.0 / s)
+        terms = first * np.cumprod(xs / (s + k), axis=0)
+        totals = np.cumsum(np.vstack((first, terms)), axis=0)[1:]
+        done, row, _ = _block_stops(np.zeros(xs.shape), terms < _REL_EPS * totals)
+        return totals, done, row
+
+    top = x.max(keepdims=True)
+    _, done, row = partial_sums(top, _BLOCK)
+    if done.all():
+        totals, done, row = partial_sums(x, int(row[0]) + 1)
+    if not done.all():
+        raise RuntimeError(
+            f"incomplete gamma series did not stop within {_BLOCK} terms (s={s}, max x={float(top[0])})"
+        )
+    return np.exp(_log_gamma_prefactor(s, x)) * totals[row, np.arange(x.size)]
 
 
 def _gamma_q_contfrac(s: float, x: np.ndarray) -> np.ndarray:
-    # upper regularized Q(s,x) for x >= max(s+1, 5) by the modified Lentz continued fraction
-    ax = _log_gamma_prefactor(s, x)
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = np.full(x.shape, 1.0 / tiny)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _TERM_CAP):
-        an = -i * (i - s)
-        b = b + 2.0
-        d = an * d + b
-        np.copyto(d, tiny, where=np.abs(d) < tiny)
-        c = b + an / c
-        np.copyto(c, tiny, where=np.abs(c) < tiny)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        pending = np.abs(delta - 1.0) >= 1e-15
-        if not pending.any():
-            return np.exp(ax) * h
-    raise RuntimeError(
-        f"incomplete gamma continued fraction hit the {_TERM_CAP}-term cap "
-        f"(s={s}, max x={float(np.max(x[pending]))})"
-    )
+    # upper regularized Q(s,x) for x >= max(s+1, 5) by Legendre's continued fraction
+    # Gamma(s,x) = e^-x x^s / (b_0 + a_1/(b_1 + a_2/(b_2 + ...))), a_i = i(s-i), b_i = x+1-s+2i
+    # (DLMF 8.9.2), evaluated backward from the fixed depth _CF_DEPTH; every backward denominator
+    # stays above 0.7 of its b_i there, so none comes near 0
+    h = x + (1.0 + 2.0 * _CF_DEPTH - s)
+    for i in range(_CF_DEPTH, 0, -1):
+        h = (x + (2.0 * i - 1.0 - s)) + i * (s - i) / h
+    return np.exp(_log_gamma_prefactor(s, x)) / h
 
 
 def _log1pmx(u: np.ndarray) -> np.ndarray:
@@ -222,18 +209,20 @@ def reg_gamma_q(s: float, x):
       whose cost does not grow with s; within 5e-16 (worst seen 1.1e-16)
       for s from 20 to 1e10.
     - any other x < max(s+1, 5): the power series of P = 1 - Q (DLMF
-      8.7.1), summed 128 terms per numpy pass, each point stopping on its
-      own at three terms below 1e-16 of its sum, so its value does not
-      depend on the rest of the batch;
-    - any other x >= max(s+1, 5): the modified Lentz continued fraction,
-      which there needs at most 22 iterations at every shape.
+      8.7.1), summed in one numpy pass of at most 102 terms, each point
+      stopping at three terms below 1e-16 of its sum;
+    - any other x >= max(s+1, 5): Legendre's continued fraction (DLMF
+      8.9.2), evaluated backward from a fixed depth of 26, within 3.3e-16
+      relative of the fraction's limit at every shape.
 
     The last two carry a log-space prefactor and are within 1e-14 (worst
     seen 4.2e-15, near x = s at s = 10); at s >= 20 they only meet
     |x/s - 1| > 0.3, where they are within 1e-16.  Below s = 4 the series
     also serves s+1 <= x < 5, where 1 - P is within 2.4e-15 absolute but
     only 1e-9 relative where Q is small (worst seen 8.6e-10 at s = 1e-3
-    near x = 5, where Q = 1.2e-6).
+    near x = 5, where Q = 1.2e-6).  Each route computes a point with
+    arithmetic that does not depend on the rest of the batch, so a value is
+    the same alone as in any batch.
     """
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:

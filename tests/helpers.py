@@ -204,6 +204,66 @@ def mix_expected_i_hat(alpha: float, lam: float, n: int, nodes: int = 128) -> fl
     return (1.0 + (lam - 1.0) / n) - s_q * float(b_weights @ inner) / (n * alpha)
 
 
+def mp_beta_expect(a: float, b: float, f) -> mp.mpf:
+    """E f(B) for B ~ Beta(a, b), with f called as f(B, 1 - B), by mp.quad.
+
+    On [0, 1/2] it integrates in u = B^a and on [1/2, 1] in v = (1 - B)^b,
+    where the density's end singularities B^(a-1) and (1 - B)^(b-1) become
+    the constants 1/a and 1/b; 1 - B is passed exactly, as v^(1/b), near 1.
+    """
+    a, b = mp.mpf(a), mp.mpf(b)
+    half = mp.mpf(1) / 2
+
+    def lower(u):
+        x = u ** (1 / a)
+        return (1 - x) ** (b - 1) * f(x, 1 - x)
+
+    def upper(v):
+        y = v ** (1 / b)
+        return (1 - y) ** (a - 1) * f(1 - y, y)
+
+    return (mp.quad(lower, [0, half ** a]) / a + mp.quad(upper, [0, half ** b]) / b) / mp.beta(a, b)
+
+
+def mp_expected_i_hat(alpha: float, lam: float, n: int, dps: int = 25) -> float:
+    """E[I_hat] under a gamma population from the gamma-beta mixture, in `dps`-digit arithmetic.
+
+    The mixture of mix_expected_i_hat, with its expectation over B ~
+    Beta((n-2) alpha, alpha) taken by mp_beta_expect and I_z by mp.betainc,
+    so n >= 3.
+    """
+    with mp.workdps(dps):
+        a, lm = mp.mpf(alpha), mp.mpf(lam)
+        s_q = n - 1 + lm
+        w2 = 1 + (n - 1) * lm
+        big_k = (n - 1) * a
+
+        def inner(bv, one_minus_b):
+            c = ((1 - lm) * bv + w2 * one_minus_b) / s_q
+            z = c / (1 + c)
+            return (c * big_k * mp.betainc(a, big_k + 1, z, 1, regularized=True)
+                    + a * mp.betainc(a + 1, big_k, 0, z, regularized=True))
+
+        e_b = mp_beta_expect((n - 2) * a, a, inner)
+        return float(1 + (lm - 1) / n - s_q * e_b / (n * a))
+
+
+def mp_ghypo_cdf(a1: float, b1: float, a2: float, b2: float, t: float, dps: int = 25) -> float:
+    """Gamma-sum CDF at t from its gamma-beta mixture, in `dps`-digit arithmetic.
+
+    Gamma(a1, rate b1) + Gamma(a2, rate b2) is T w(B), T ~ Gamma(a1 + a2),
+    B ~ Beta(a1, a2) and w(B) = B/b1 + (1 - B)/b2, so the CDF is
+    1 - E_B[Q(a1 + a2, t/w(B))], the expectation by mp_beta_expect.
+    """
+    with mp.workdps(dps):
+        nu, tm = mp.mpf(a1) + mp.mpf(a2), mp.mpf(t)
+
+        def q(bv, one_minus_b):
+            return mp.gammainc(nu, tm / (bv / b1 + one_minus_b / b2), mp.inf, regularized=True)
+
+        return float(1 - mp_beta_expect(a1, a2, q))
+
+
 def quad_ghypo_cdf(a1: float, b1: float, a2: float, b2: float, t: float) -> float:
     """Gamma-sum CDF at t: scipy quad of the narrower component's density times the other's CDF.
 

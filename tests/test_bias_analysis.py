@@ -12,7 +12,7 @@ from ineqbridge import (
     tilting_lemma_check,
 )
 
-from helpers import analytic_bias_table, mix_expected_i_hat, tilting_agrees
+from helpers import analytic_bias_table, mix_expected_i_hat, mp_expected_i_hat, tilting_agrees
 from reference_values import MC_REFERENCE
 
 
@@ -62,6 +62,14 @@ class TestExpectedIHat:
         ref = mix_expected_i_hat(alpha, lam, n)
         assert abs(ref - oracle) <= 5e-13
         assert abs(expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n)) - ref) <= 1e-10
+
+    @pytest.mark.parametrize("alpha, lam, n", [(1e-3, 0.99, 10), (1e-3, 0.5, 3)])
+    def test_small_shapes_match_substitution_oracle(self, alpha, lam, n):
+        # (1e-3, 0.99, 10) needs the gamma-sum convolution below shape 1; at (1e-3, 0.5, 3)
+        # E[I_hat] is the integral divided by n*alpha = 3e-3, so the quadrature's tolerance
+        # must be scaled by it
+        got = expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n))
+        assert abs(got - mp_expected_i_hat(alpha, lam, n)) <= 1e-10
 
 
 class TestExpectedHHat:

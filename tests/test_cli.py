@@ -258,6 +258,13 @@ class TestBiasCommand:
         assert code == 0
         assert out.strip().split("\n")[1] == "E[I_hat]  0.014068"
 
+    def test_small_shape_near_gini_weight(self, capsys):
+        # the gamma sum's convolution conditions on a shape below 1 here; the mpmath
+        # mixture oracle gives 0.99756061002950
+        code, out, _ = run_cli(capsys, "bias", "--alpha", "0.001", "--lambda", "0.99", "--n", "10")
+        assert code == 0
+        assert out.strip().split("\n")[1] == "E[I_hat]  0.997561"
+
     def test_pair_hoover_expectation(self, capsys):
         code, out, _ = run_cli(capsys, "bias", "--alpha", "1", "--lambda", "0", "--n", "2")
         assert code == 0

@@ -13,7 +13,7 @@ from ineqbridge import (
 )
 from ineqbridge.distributions import _ghypo_cdf_convolution
 
-from helpers import hypoexp_cdf, quad_ghypo_cdf
+from helpers import hypoexp_cdf, mp_ghypo_cdf, quad_ghypo_cdf
 
 
 class TestParams:
@@ -100,12 +100,19 @@ class TestGHypoCdf:
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_convolution_route_matches_series(self):
-        # straddle the series budget so both evaluation routes are exercised
-        g = GHypoParams(5.0, 300.0, 2.0, 1.0)
-        for t in (0.5, 2.0, 9.0):
-            series_val = ghypo_cdf(g, t)
-            conv_val = _ghypo_cdf_convolution(g, t)
-            assert conv_val == pytest.approx(series_val, abs=2e-9)
+        # straddle the series budget so both evaluation routes are exercised; the
+        # convolution conditions on shape 5, and on shape 0.5 in v = (b u)^a
+        for g in (GHypoParams(5.0, 300.0, 2.0, 1.0), GHypoParams(0.5, 300.0, 2.0, 1.0)):
+            for t in (0.5, 2.0, 9.0):
+                series_val = ghypo_cdf(g, t)
+                conv_val = _ghypo_cdf_convolution(g, t)
+                assert conv_val == pytest.approx(series_val, abs=2e-9)
+
+    def test_convolution_below_shape_one(self):
+        # the convolution conditions on the component whose mass ends first; below shape 1
+        # its density u^(a-1) overflows at subnormal u, and (8e-3, 1000) is such a component
+        g = GHypoParams(8e-3, 1000.0, 1e-3, 1.0 / 9.991)
+        assert abs(ghypo_cdf(g, 50.0) - mp_ghypo_cdf(g.alpha1, g.beta1, g.alpha2, g.beta2, 50.0)) <= 1e-12
 
     @pytest.mark.parametrize("alpha, lam, n", [(400.0, 0.5, 40), (1e3, 0.5, 40), (1e4, 0.5, 120),
                                                (50.0, 0.9, 120)])

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaincc
 
 from ineqbridge import log_humbert_phi2, reg_gamma_q, specfun
 from ineqbridge.specfun import _BLOCK, _TEMME_D
@@ -123,22 +124,6 @@ class TestRegGammaQ:
         for s in (1e-3, 0.1, 0.5, 1.5, 3.9):
             assert (np.diff(reg_gamma_q(s, xs)) <= 1e-15).all(), s
 
-    def test_series_stops_on_both_sides_of_a_block_boundary(self, monkeypatch):
-        # the series stops at its third consecutive term below 1e-16 of its sum; that
-        # term falls just before, on and just after the end of the first block, and a
-        # cap just above it is enough while a cap at it is not
-        s = 500.0
-        xs = np.arange(400.0, 450.0, 0.25)
-        stops = [gamma_series_stop_term(s, x) for x in xs]
-        for target in range(_BLOCK - 1, _BLOCK + 3):
-            x = float(xs[stops.index(target)])
-            ref = float(mp.gammainc(s, 0, x, regularized=True))
-            monkeypatch.setattr(specfun, "_TERM_CAP", target + 1)
-            assert specfun._gamma_p_series(s, np.array([x]))[0] == pytest.approx(ref, rel=1e-14), target
-            monkeypatch.setattr(specfun, "_TERM_CAP", target)
-            with pytest.raises(RuntimeError, match=f"{target}-term cap"):
-                specfun._gamma_p_series(s, np.array([x]))
-
     def test_series_points_do_not_depend_on_their_batch(self):
         for s in (1e-3, 0.5, 3.9, 12.0):
             x = np.array([1e-6, 0.02, 0.7, 2.0, 4.9, s + 0.9, 0.3 * s])
@@ -147,19 +132,47 @@ class TestRegGammaQ:
             for xi, got in zip(x, together):
                 assert got == reg_gamma_q(s, xi), (s, xi)
             assert np.array_equal(reg_gamma_q(s, x[::-1]), together[::-1])
-        # points of the bare series that stop in different blocks
-        x = np.array([100.0, 700.0, 800.0, 900.0, 1000.0])
-        assert len({(gamma_series_stop_term(1e3, xi) - 1) // _BLOCK for xi in x}) == 3
-        together = specfun._gamma_p_series(1e3, x)
-        for xi, got in zip(x, together):
-            assert got == specfun._gamma_p_series(1e3, np.array([xi]))[0], xi
 
-    def test_term_caps_name_the_arguments(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_TERM_CAP", 10)
-        with pytest.raises(RuntimeError, match=r"series hit the 10-term cap \(s=0\.5, max x=3\.0\)"):
-            reg_gamma_q(0.5, [0.001, 2.0, 3.0])
-        with pytest.raises(RuntimeError, match=r"fraction hit the 10-term cap \(s=0\.5, max x=7\.0\)"):
-            reg_gamma_q(0.5, [7.0, 6.0, 300.0])
+    def test_fraction_points_do_not_depend_on_their_batch(self):
+        for s in (1e-3, 0.5, 3.9, 12.0, 50.0, 1e4):
+            x = np.array([1.0, 0.01, 2.0, 9.0, 100.0]) * s + max(s + 1.0, 5.0) + 0.3 * s
+            together = reg_gamma_q(s, x)
+            for xi, got in zip(x, together):
+                assert got == reg_gamma_q(s, xi), (s, xi)
+            assert np.array_equal(reg_gamma_q(s, x[::-1]), together[::-1])
+
+    def test_series_stops_within_one_pass(self):
+        # the series serves x < max(s + 1, 5), and at s >= 20 only x < 0.7 s; its largest x
+        # stops last and sizes the one pass, which must end within _BLOCK rows everywhere
+        worst = 0
+        for s in np.geomspace(1e-6, 1e12, 73):
+            reach = max(s + 1.0, 5.0) if s < 20.0 else 0.7 * s
+            xs = reach * np.concatenate((np.linspace(0.01, 0.99, 50), 1.0 - np.geomspace(1e-2, 1e-12, 11)))
+            stops = [gamma_series_stop_term(s, x) for x in xs]
+            assert all(a <= b for a, b in zip(stops, stops[1:])), s
+            worst = max(worst, stops[-1])
+            got = specfun._gamma_p_series(s, xs)
+            ref = ([float(mp.gammainc(s, 0, x, regularized=True)) for x in xs[-3:]] if s < 1e4
+                   else gammainc(s, xs[-3:]))
+            assert got[-3:] == pytest.approx(ref, rel=0.0, abs=1e-14), s
+        assert worst == 102 < _BLOCK
+
+    def test_series_kernel_raises_outside_its_domain(self):
+        # at x = 0.9 s the series needs more than _BLOCK terms; reg_gamma_q never sends it there
+        assert gamma_series_stop_term(500.0, 450.0) > _BLOCK
+        with pytest.raises(RuntimeError, match=r"within 128 terms \(s=500\.0, max x=450\.0\)"):
+            specfun._gamma_p_series(500.0, np.array([1.0, 450.0, 20.0]))
+
+    def test_fraction_on_both_sides_of_its_switches(self):
+        # the fraction serves x >= max(s + 1, 5) and, at s >= 20, x > 1.3 s; at each
+        # switch both routes are within 1e-14 of the oracle, mpmath below s = 1e4 and scipy above
+        for s in (1e-6, 1e-3, 0.5, 3.9, 4.0, 4.1, 19.99, 20.0, 100.0, 1e3, 1e4, 1e6, 1e9, 1e12):
+            edges = (5.0, s + 1.0) if s < 20.0 else (1.3 * s,)
+            for edge in edges:
+                for x in (edge * (1.0 - 1e-9), edge, edge * (1.0 + 1e-9), edge * 1.5, edge + 60.0):
+                    got = reg_gamma_q(s, x)
+                    ref = mp_reg_q(s, x) if s < 1e4 else float(gammaincc(s, x))
+                    assert got == pytest.approx(ref, rel=0.0, abs=1e-14), (s, x)
 
 
 class TestHumbertPhi2:
