@@ -143,7 +143,7 @@ def _ghypo_cdf_convolution(g: GHypoParams, t: float) -> float:
     (ac, bc), (ao, bo) = sorted(((g.alpha1, g.beta1), (g.alpha2, g.beta2)),
                                 key=lambda comp: _gamma_bulk(comp[0])[0] / comp[1])
     cut, w = _gamma_bulk(ac)
-    hi, falls = min(t, cut / bc), (max(ac - w, 0.0), ac + w)  # the conditioned gamma's, at rate 1
+    hi, falls = min(t, cut / bc), (max(ac - w, 0.0), ac + w)  # the conditioned density's fall, at rate 1
 
     def cdf_rest(u):
         return 1.0 - reg_gamma_q(ao, np.maximum(bo * (t - u), 0.0))
