@@ -3,65 +3,20 @@
 Public surface: special functions, deterministic quadrature, the gamma /
 discrete / gamma-sum distribution layer, population index values, sample
 estimators, analytic estimator bias under gamma populations, and a
-reproducible Monte Carlo harness.
+reproducible Monte Carlo harness.  Each name is declared once, in its
+submodule's `__all__`; the package re-exports the union.
 """
 
-from .bias_analysis import (
-    BiasQuery,
-    TiltingCheck,
-    bias,
-    expected_i_hat,
-    tilting_lemma_check,
-)
-from .distributions import (
-    DiscreteDist,
-    GammaParams,
-    GHypoParams,
-    gamma_sample,
-    ghypo_cdf,
-)
-from .estimators import (
-    SummaryStats,
-    g_hat,
-    h_hat,
-    i_hat,
-    i_hat_fast,
-    summarize,
-)
-from .index_core import (
-    discrete_index,
-    gamma_gini,
-    gamma_hoover,
-    gamma_index,
-    integral_index,
-    j_index,
-    lambda_path,
-)
-from .mc_harness import (
-    ScenarioFailure,
-    SimConfig,
-    SimSummary,
-    compare_i_vs_j,
-    format_table,
-    run_grid,
-    run_scenario,
-    write_csv,
-)
-from .quadrature import QuadratureError, QuadResult, integrate_finite, integrate_semi_infinite
-from .specfun import log_humbert_phi2, reg_gamma_q
+from . import bias_analysis, distributions, estimators, index_core, mc_harness, quadrature, specfun
+from .bias_analysis import *
+from .distributions import *
+from .estimators import *
+from .index_core import *
+from .mc_harness import *
+from .quadrature import *
+from .specfun import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiasQuery", "TiltingCheck", "bias", "expected_i_hat",
-    "tilting_lemma_check",
-    "DiscreteDist", "GammaParams", "GHypoParams", "gamma_sample",
-    "ghypo_cdf",
-    "SummaryStats", "g_hat", "h_hat", "i_hat", "i_hat_fast", "summarize",
-    "discrete_index", "gamma_gini", "gamma_hoover", "gamma_index",
-    "integral_index", "j_index", "lambda_path",
-    "ScenarioFailure", "SimConfig", "SimSummary", "compare_i_vs_j",
-    "format_table", "run_grid", "run_scenario", "write_csv",
-    "QuadratureError", "QuadResult", "integrate_finite", "integrate_semi_infinite",
-    "log_humbert_phi2", "reg_gamma_q",
-]
+__all__ = (bias_analysis.__all__ + distributions.__all__ + estimators.__all__ + index_core.__all__
+           + mc_harness.__all__ + quadrature.__all__ + specfun.__all__)

@@ -21,7 +21,7 @@ import numpy as np
 from .bias_analysis import BiasQuery, expected_i_hat
 # h_hat and g_hat run nowhere here: perfbench/tracer.py wraps them in this module by name
 from .estimators import g_hat, h_hat, i_hat_fast  # noqa: F401
-from .index_core import gamma_index, lambda_grid, lambda_path
+from .index_core import gamma_index, lambda_grid
 from .mc_harness import (
     ScenarioFailure,
     SimConfig,
@@ -99,7 +99,11 @@ def _cmd_index(args) -> int:
     where = f"grid={args.grid}" if args.grid is not None else f"lambda={lam}"
     try:
         if args.grid is not None:
-            points = lambda_path(lambda lam: gamma_index(args.alpha, lam), args.grid)
+            points = []
+            # every value is computed before the first line is printed
+            for lam in lambda_grid(args.grid):
+                where = f"grid={args.grid}: lambda={lam}"
+                points.append((lam, gamma_index(args.alpha, lam)))
             print("lambda,value")
             for lam, value in points:
                 print(f"{lam:g},{value:.{digits}f}")

@@ -67,7 +67,7 @@ class DiscreteDist:
     """Finite distribution on non-negative values.
 
     Atoms with equal values are merged on construction and the result is
-    sorted by value, so equality of canonical forms is well defined.
+    sorted by value, the order `survival` searches.
     """
 
     def __init__(self, atoms):
@@ -91,9 +91,6 @@ class DiscreteDist:
         self.probs = np.array([p for _, p in pairs])
         # P(X >= values[k]) for each k, then 0 past the top atom
         self._tail = np.concatenate((np.cumsum(self.probs[::-1])[::-1], [0.0]))
-
-    def __eq__(self, other):
-        return isinstance(other, DiscreteDist) and self.atoms == other.atoms
 
     def __repr__(self):
         return f"DiscreteDist({list(self.atoms)!r})"

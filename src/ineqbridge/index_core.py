@@ -28,7 +28,6 @@ __all__ = [
     "gamma_hoover",
     "gamma_gini",
     "j_index",
-    "lambda_path",
 ]
 
 
@@ -196,14 +195,3 @@ def lambda_grid(grid_size: int) -> list[float]:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     return [i / (grid_size - 1) for i in range(grid_size)]
-
-
-def lambda_path(evaluator, grid_size: int) -> list[tuple[float, float]]:
-    """Evaluate lam -> value at each weight of lambda_grid(grid_size)."""
-    out = []
-    for lam in lambda_grid(grid_size):
-        try:
-            out.append((lam, float(evaluator(lam))))
-        except Exception as exc:
-            raise RuntimeError(f"path evaluation failed at lambda={lam!r}: {exc}") from exc
-    return out

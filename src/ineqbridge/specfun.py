@@ -1,8 +1,9 @@
 """Scalar special functions behind the closed forms.
 
 Provides the regularized upper incomplete gamma function
-Q(s, x) = Gamma(s, x)/Gamma(s) and the two-variable confluent (Humbert)
-series needed by the gamma-sum distribution function.
+Q(s, x) = Gamma(s, x)/Gamma(s), and the two-variable confluent (Humbert
+Phi2) series `log_humbert_phi2`, the kernel of `distributions.ghypo_cdf`
+and not part of the public surface.
 
 Everything is arranged so that summed series have non-negative terms and
 large prefactors live in log space: shape parameters beyond a thousand are
@@ -20,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "reg_gamma_q",
-    "log_humbert_phi2",
 ]
 
 _TERM_CAP = 100_000     # Phi2 diagonals before its series gives up
@@ -298,6 +298,7 @@ def _log_phi2_columns(a: float, c: float, x: np.ndarray, y: np.ndarray) -> np.nd
     )
 
 
+# not public, as only ghypo_cdf calls it; the name stays because perfbench/tracer.py wraps it
 def log_humbert_phi2(a: float, c: float, x, y):
     """Log of the two-variable confluent series with unit second parameter.
 

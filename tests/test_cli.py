@@ -4,8 +4,9 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from ineqbridge import GammaParams, g_hat, gamma_hoover, gamma_sample, h_hat, i_hat_fast
+from ineqbridge import GammaParams, cli, g_hat, gamma_hoover, gamma_index, gamma_sample, h_hat, i_hat_fast
 from ineqbridge.cli import main
+from ineqbridge.index_core import lambda_grid
 
 FIXTURE = str(files("ineqbridge").joinpath("data/gdp_per_capita_americas.csv"))
 
@@ -80,6 +81,29 @@ class TestIndexCommand:
         assert len(lines) == 6
         lams = [float(l.split(",")[0]) for l in lines[1:]]
         assert lams == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize("grid", [5, 21])
+    def test_grid_values_are_gamma_index_bit_for_bit(self, capsys, grid):
+        # 30 decimals carry at least 17 significant digits of values above 1e-13
+        code, out, _ = run_cli(capsys, "index", "--alpha", "0.5", "--grid", str(grid), "--digits", "30")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [lam for lam, _ in rows] == [f"{lam:g}" for lam in lambda_grid(grid)]
+        assert [float(v) for _, v in rows] == [gamma_index(0.5, lam) for lam in lambda_grid(grid)]
+
+    def test_grid_failure_names_lambda_and_prints_nothing(self, capsys, monkeypatch):
+        def failing_past_half(alpha, lam):
+            if lam > 0.5:
+                raise RuntimeError("no convergence")
+            return gamma_index(alpha, lam)
+
+        monkeypatch.setattr(cli, "gamma_index", failing_past_half)
+        code, out, err = run_cli(capsys, "index", "--alpha", "2", "--grid", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: alpha=2.0 grid=5: lambda=0.75: no convergence\n"
+        code, out, err = run_cli(capsys, "index", "--alpha", "2", "--grid", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: alpha=2.0 grid=1: grid_size must be >= 2"), err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,6 @@ from ineqbridge import (
     gamma_sample,
     integral_index,
     j_index,
-    lambda_path,
     reg_gamma_q,
 )
 
@@ -184,38 +183,6 @@ class TestJIndex:
         assert j_index(0.2, 0.4, 0.0) == 0.2
         assert j_index(0.2, 0.4, 1.0) == 0.4
         assert j_index(0.2, 0.4, 0.5) == pytest.approx(0.3, abs=1e-15)
-
-
-class TestLambdaPath:
-    def test_two_point_gamma_path(self):
-        pts = lambda_path(lambda lam: gamma_index(1.0, lam), 2)
-        assert pts[0][0] == 0.0 and pts[1][0] == 1.0
-        assert pts[0][1] == pytest.approx(0.36788, abs=5e-6)
-        assert pts[1][1] == pytest.approx(0.5, abs=1e-9)
-
-    def test_three_point_path_is_monotone_for_shape_two(self):
-        pts = lambda_path(lambda lam: gamma_index(2.0, lam), 3)
-        vals = [v for _, v in pts]
-        assert vals == sorted(vals)
-
-    def test_grid_endpoints(self):
-        pts = lambda_path(lambda lam: lam, 7)
-        assert pts[0][0] == 0.0
-        assert pts[-1][0] == 1.0
-        assert len(pts) == 7
-
-    def test_errors_carry_offending_lambda(self):
-        def bad(lam):
-            if lam > 0.4:
-                raise ValueError("boom")
-            return lam
-
-        with pytest.raises(RuntimeError, match="lambda=0.5"):
-            lambda_path(bad, 3)
-
-    def test_grid_size_validation(self):
-        with pytest.raises(ValueError):
-            lambda_path(lambda lam: lam, 1)
 
 
 class TestIndexProperties:

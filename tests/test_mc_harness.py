@@ -103,7 +103,8 @@ class TestStreams:
 class TestBlocks:
     @pytest.mark.parametrize("reps", [1, 63, 64, 65, 130])
     def test_equals_one_replication_at_a_time(self, reps):
-        c = SimConfig(alpha=0.5, lam=0.3, n=12, reps=reps, seed=17)
+        # at n = 64 a block holds 4096 // 64 = 64 rows, so these counts sit at its edges
+        c = SimConfig(alpha=0.5, lam=0.3, n=64, reps=reps, seed=17)
         samples = [mc._replication_sample(c, r) for r in range(reps)]
         est_i = [i_hat_fast(x, c.lam) for x in samples]
         est_j = [(1.0 - c.lam) * h_hat(x) + c.lam * g_hat(x) for x in samples]
@@ -113,7 +114,8 @@ class TestBlocks:
         assert compare_i_vs_j(c) == (math.fsum(est_i) / reps - truth_i, math.fsum(est_j) / reps - truth_j)
 
     def test_blocks_hold_at_most_64_rows(self, monkeypatch):
-        # the block height bounds a scenario's peak memory
+        # a block holds at most 4,096 sample values, or one sample when n is larger:
+        # 64 rows at n = 64, and its size bounds a scenario's temporaries
         shapes = []
 
         def recording(estimator):
@@ -124,11 +126,12 @@ class TestBlocks:
 
         for name in ("i_hat_fast", "h_hat", "g_hat"):
             monkeypatch.setattr(mc, name, recording(getattr(mc, name)))
-        c = SimConfig(alpha=2.0, lam=0.5, n=10, reps=130, seed=3)
-        run_scenario(c)
-        compare_i_vs_j(c)
-        assert all(len(shape) == 2 and shape[0] <= 64 and shape[1] == 10 for shape in shapes), shapes
-        assert sum(shape[0] for shape in shapes) == 2 * 130  # i_hat_fast once in each
+        for n, reps, rows in ((64, 130, [64, 64, 2]), (10, 500, [409, 91]), (5000, 2, [1, 1])):
+            shapes.clear()
+            c = SimConfig(alpha=2.0, lam=0.5, n=n, reps=reps, seed=3)
+            run_scenario(c)
+            compare_i_vs_j(c)  # i_hat_fast once per block in each
+            assert shapes == 2 * [(r, n) for r in rows], (n, shapes)
 
 
 class TestRunGrid:

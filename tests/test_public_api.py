@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import ineqbridge
 from ineqbridge import (bias_analysis, distributions, estimators, index_core, mc_harness,
@@ -16,6 +17,12 @@ def test_package_exports_exactly_the_submodule_names():
     for module in SUBMODULES:
         for name in module.__all__:
             assert getattr(ineqbridge, name) is getattr(module, name)
+
+
+def test_every_public_attribute_is_exported_or_a_submodule():
+    public = {name for name in vars(ineqbridge) if not name.startswith("_")}
+    extra = public - set(ineqbridge.__all__)
+    assert all(isinstance(getattr(ineqbridge, name), types.ModuleType) for name in extra), extra
 
 
 def test_import_loads_no_process_pool():

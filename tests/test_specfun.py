@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import gammainc, gammaincc
 
-from ineqbridge import log_humbert_phi2, reg_gamma_q, specfun
-from ineqbridge.specfun import _BLOCK, _TEMME_D
+from ineqbridge import reg_gamma_q, specfun
+from ineqbridge.specfun import _BLOCK, _TEMME_D, log_humbert_phi2
 
 from helpers import (erfc_series, gamma_series_stop_term, mp_phi2_unit, mp_reg_q, mp_temme_coefficients,
                      phi2_stop_term)
