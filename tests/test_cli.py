@@ -4,6 +4,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+import ineqbridge.mc_harness as mc
 from ineqbridge import GammaParams, cli, g_hat, gamma_hoover, gamma_index, gamma_sample, h_hat, i_hat_fast
 from ineqbridge.cli import main
 from ineqbridge.index_core import lambda_grid
@@ -326,6 +327,20 @@ class TestSimulateCommand:
                                "--n", "15", "--reps", "40", "--seed", "5", "--compare-j")
         assert code == 0
         assert "BiasJ" in out
+
+    def test_compare_j_leaves_the_csv_alone(self, tmp_path, capsys):
+        args = ["simulate", "--alpha", "0.5,2", "--lambda", "0,0.3,1", "--n", "10,25",
+                "--reps", "40", "--seed", "8", "--digits", "17"]
+        plain, compared = tmp_path / "plain.csv", tmp_path / "compared.csv"
+        assert run_cli(capsys, *args, "--out", str(plain))[0] == 0
+        mc._scenario.cache_clear()  # so that the second run makes its own passes
+        code, out, _ = run_cli(capsys, *args, "--out", str(compared), "--compare-j")
+        assert code == 0
+        assert plain.read_bytes() == compared.read_bytes()
+        header, *rows = [line.split() for line in out.strip().split("\n")]
+        assert len(rows) == 12
+        bias, bias_i = header.index("Bias"), header.index("BiasI")
+        assert all(row[bias_i] == row[bias] for row in rows)
 
     def test_sample_dump_round_trip(self, tmp_path, capsys):
         dump = tmp_path / "sample.csv"

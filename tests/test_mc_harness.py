@@ -26,6 +26,17 @@ from ineqbridge import (
 )
 
 
+@pytest.fixture
+def fresh_memos():
+    # for a test that patches what a pass calls: an entry an earlier test left cannot
+    # hide the patch, and an entry made under the patch cannot outlive it
+    mc._cached_truth.cache_clear()
+    mc._scenario.cache_clear()
+    yield
+    mc._cached_truth.cache_clear()
+    mc._scenario.cache_clear()
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -47,7 +58,17 @@ class TestSimConfig:
 class TestRunScenario:
     def test_deterministic_rerun(self):
         c = SimConfig(alpha=2.0, lam=0.5, n=20, reps=50, seed=99)
-        assert run_scenario(c) == run_scenario(c)
+        first = run_scenario(c)
+        mc._scenario.cache_clear()
+        assert run_scenario(c) == first
+
+    def test_equal_configs_report_their_own(self):
+        # 0.0 == -0.0, so the second config reads the first one's memo entry
+        zero = SimConfig(alpha=2.0, lam=0.0, n=10, reps=20, seed=6)
+        negative_zero = SimConfig(alpha=2.0, lam=-0.0, n=10, reps=20, seed=6)
+        first, second = run_scenario(zero), run_scenario(negative_zero)
+        assert first == second
+        assert math.copysign(1.0, second.config.lam) == -1.0
 
     def test_truth_coherence(self):
         c = SimConfig(alpha=2.0, lam=0.25, n=10, reps=5, seed=3)
@@ -113,7 +134,7 @@ class TestBlocks:
         assert run_scenario(c) == SimSummary(c, truth_i, *summarize(est_i, truth_i))
         assert compare_i_vs_j(c) == (math.fsum(est_i) / reps - truth_i, math.fsum(est_j) / reps - truth_j)
 
-    def test_blocks_hold_at_most_64_rows(self, monkeypatch):
+    def test_blocks_hold_at_most_64_rows(self, monkeypatch, fresh_memos):
         # a block holds at most 4,096 sample values, or one sample when n is larger:
         # 64 rows at n = 64, and its size bounds a scenario's temporaries
         shapes = []
@@ -130,8 +151,8 @@ class TestBlocks:
             shapes.clear()
             c = SimConfig(alpha=2.0, lam=0.5, n=n, reps=reps, seed=3)
             run_scenario(c)
-            compare_i_vs_j(c)  # i_hat_fast once per block in each
-            assert shapes == 2 * [(r, n) for r in rows], (n, shapes)
+            compare_i_vs_j(c)  # reads run_scenario's pass: i_hat_fast once per block in all
+            assert shapes == [(r, n) for r in rows], (n, shapes)
 
 
 class TestRunGrid:
@@ -152,17 +173,15 @@ class TestRunGrid:
         assert [o.config for o in out] == [c for c in dup]
         assert out[0] == out[2]
 
-    def test_failures_collected_not_raised(self, monkeypatch):
+    def test_failures_collected_not_raised(self, monkeypatch, fresh_memos):
         def exploding(alpha, lam):
             if alpha == 3.21:
                 raise RuntimeError("synthetic failure")
             return gamma_index(alpha, lam)
 
         monkeypatch.setattr(mc, "gamma_index", exploding)
-        mc._cached_truth.cache_clear()
         grid = [self.GRID[0], SimConfig(alpha=3.21, lam=0.5, n=10, reps=5, seed=1), self.GRID[1]]
         out = run_grid(grid)
-        mc._cached_truth.cache_clear()
         assert isinstance(out[1], ScenarioFailure)
         assert "synthetic failure" in out[1].message
         assert not isinstance(out[0], ScenarioFailure)
@@ -179,6 +198,26 @@ class TestCompare:
     def test_same_bias_of_i_hat_as_run_scenario(self, lam):
         c = SimConfig(alpha=2.0, lam=lam, n=15, reps=200, seed=9)
         assert compare_i_vs_j(c)[0] == run_scenario(c).bias
+
+    def test_one_draw_per_replication(self, monkeypatch, fresh_memos):
+        draws = []
+
+        def counting(*args):
+            draws.append(args)
+            return gamma_sample(*args)
+
+        monkeypatch.setattr(mc, "gamma_sample", counting)
+        c = SimConfig(alpha=0.5, lam=0.3, n=12, reps=150, seed=23)
+        for first, second in ((run_scenario, compare_i_vs_j), (compare_i_vs_j, run_scenario)):
+            mc._scenario.cache_clear()
+            draws.clear()
+            first(c)
+            second(c)
+            assert len(draws) == c.reps, first.__name__
+        memoized = mc._scenario(c)
+        mc._scenario.cache_clear()
+        assert mc._scenario(c) == memoized  # a fresh pass, bit for bit
+        assert (run_scenario(c), compare_i_vs_j(c)[1]) == memoized
 
     def test_interior_biases_finite_and_small(self):
         bi, bj = compare_i_vs_j(SimConfig(alpha=5.0, lam=0.5, n=80, reps=1000, seed=44))
