@@ -48,15 +48,11 @@ def _digits(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=_digits, default=None, help="output decimal places")
-    common.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
-
     parser = argparse.ArgumentParser(prog="ineqbridge",
                                      description="Hoover-Gini bridging inequality index toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", parents=[common], help="gamma population index values")
+    p_index = sub.add_parser("index", help="gamma population index values")
     p_index.add_argument("--alpha", type=float, required=True)
     mode = p_index.add_mutually_exclusive_group(required=True)
     mode.add_argument("--lambda", dest="lam", type=float)
@@ -64,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--hoover", action="store_true")
     mode.add_argument("--gini", action="store_true")
 
-    p_est = sub.add_parser("estimate", parents=[common], help="estimate measures from CSV data")
+    p_est = sub.add_parser("estimate", help="estimate measures from CSV data")
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--column", required=True)
     p_est.add_argument("--lambdas", default="0.25,0.5,0.75")
@@ -73,13 +69,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also emit a G-point weight grid of the estimator")
     p_est.add_argument("--svg", default=None, metavar="FILE",
                        help="write the weight path as an SVG line plot (needs --path)")
+    p_est.add_argument("--quiet", action="store_true", help="suppress the skipped-row note on stderr")
 
-    p_bias = sub.add_parser("bias", parents=[common], help="analytic estimator bias for gamma samples")
+    p_bias = sub.add_parser("bias", help="analytic estimator bias for gamma samples")
     p_bias.add_argument("--alpha", type=float, required=True)
     p_bias.add_argument("--lambda", dest="lam", type=float, required=True)
     p_bias.add_argument("--n", type=int, required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo simulation grid")
+    p_sim = sub.add_parser("simulate", help="Monte Carlo simulation grid")
     p_sim.add_argument("--alpha", required=True, help="comma-separated shape values")
     p_sim.add_argument("--lambda", dest="lam", required=True, help="comma-separated weights")
     p_sim.add_argument("--n", required=True, help="comma-separated sample sizes")
@@ -90,11 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also report the bias of the convex-combination estimator")
     p_sim.add_argument("--dump-sample", default=None, metavar="FILE",
                        help="write the first replication sample of the first scenario as CSV")
+    for p, digits in ((p_index, 6), (p_est, 3), (p_bias, 6), (p_sim, 4)):
+        p.add_argument("--digits", type=_digits, default=digits, help="output decimal places")
     return parser
 
 
 def _cmd_index(args) -> int:
-    digits = args.digits if args.digits is not None else 6
     lam = 0.0 if args.hoover else 1.0 if args.gini else args.lam
     where = f"grid={args.grid}" if args.grid is not None else f"lambda={lam}"
     try:
@@ -106,9 +104,9 @@ def _cmd_index(args) -> int:
                 points.append((lam, gamma_index(args.alpha, lam)))
             print("lambda,value")
             for lam, value in points:
-                print(f"{lam:g},{value:.{digits}f}")
+                print(f"{lam:g},{value:.{args.digits}f}")
         else:
-            print(f"{gamma_index(args.alpha, lam):.{digits}f}")
+            print(f"{gamma_index(args.alpha, lam):.{args.digits}f}")
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: alpha={args.alpha} {where}: {exc}", file=sys.stderr)
         return 1
@@ -194,7 +192,6 @@ def _write_svg(path: str, points) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    digits = args.digits if args.digits is not None else 3
     try:
         if args.svg and args.path is None:
             raise ValueError("--svg requires --path")
@@ -213,16 +210,16 @@ def _cmd_estimate(args) -> int:
         if args.format == "csv":
             print("Measure,Value")
             for name, value in rows:
-                print(f"{name},{value:.{digits}f}")
+                print(f"{name},{value:.{args.digits}f}")
         else:
             name_w = max(len(name) for name, _ in rows + [("Measure", 0.0)])
             print(f"{'Measure':<{name_w}}  Value")
             for name, value in rows:
-                print(f"{name:<{name_w}}  {value:.{digits}f}")
+                print(f"{name:<{name_w}}  {value:.{args.digits}f}")
         if args.path is not None:
             print("lambda,value")
             for lam, value in points:
-                print(f"{lam:g},{value:.{digits}f}")
+                print(f"{lam:g},{value:.{args.digits}f}")
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -230,14 +227,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bias(args) -> int:
-    digits = args.digits if args.digits is not None else 6
     try:
         q = BiasQuery(alpha=args.alpha, lam=args.lam, n=args.n)
         truth = gamma_index(q.alpha, q.lam)
         expected = expected_i_hat(q)
-        print(f"I_lambda  {truth:.{digits}f}")
-        print(f"E[I_hat]  {expected:.{digits}f}")
-        print(f"bias      {expected - truth:.{digits}f}")
+        print(f"I_lambda  {truth:.{args.digits}f}")
+        print(f"E[I_hat]  {expected:.{args.digits}f}")
+        print(f"bias      {expected - truth:.{args.digits}f}")
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: alpha={args.alpha} lambda={args.lam} n={args.n}: {exc}", file=sys.stderr)
         return 1
@@ -245,7 +241,6 @@ def _cmd_bias(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    digits = args.digits if args.digits is not None else 4
     try:
         alphas = _float_list(args.alpha)
         lams = _float_list(args.lam)
@@ -284,7 +279,7 @@ def _cmd_simulate(args) -> int:
         if args.out:
             write_csv(summaries, args.out)
         if summaries:
-            print(format_table(summaries, digits=digits, extra=extra))
+            print(format_table(summaries, digits=args.digits, extra=extra))
         if failures:
             return 1
     except (ValueError, RuntimeError, OverflowError, OSError) as exc:

@@ -128,13 +128,6 @@ def gamma_sample(p: GammaParams, rng: np.random.Generator, count: int) -> np.nda
     return boost * rng.random(count) ** (1.0 / p.alpha)
 
 
-def _ordered(g: GHypoParams):
-    # (shape_hi, rate_hi) has the larger rate; series arguments stay non-negative
-    if g.beta1 >= g.beta2:
-        return g.alpha1, g.beta1, g.alpha2, g.beta2
-    return g.alpha2, g.beta2, g.alpha1, g.beta1
-
-
 def _ghypo_cdf_convolution(g: GHypoParams, t: float) -> float:
     # condition on the component whose mass ends first; the other contributes its gamma CDF
     (ac, bc), (ao, bo) = sorted(((g.alpha1, g.beta1), (g.alpha2, g.beta2)),
@@ -161,8 +154,8 @@ def _ghypo_cdf_convolution(g: GHypoParams, t: float) -> float:
 def ghypo_cdf(g: GHypoParams, t):
     """Distribution function of the two-gamma sum at t >= 0.
 
-    Computed as exp(a1*ln(b1) + a2*ln(b2) + nu*ln(t) - rate_hi*t
-    - lnGamma(nu+1)) times the confluent two-variable series, nu = a1 + a2.
+    Computed as (b_lo/b_hi)^a_lo (b_hi t)^nu e^(-b_hi t) / Gamma(nu+1), in logs
+    by specfun's prefactor route, times the confluent series, nu = a1 + a2.
     Past the series budget, (2*rate_hi - rate_lo)*t > 4e4, it conditions on
     the component (a, b) whose mass ends first and integrates its density
     times the other's CDF over [0, min(t, U/b)], with breakpoints (a -+ w)/b
@@ -178,7 +171,9 @@ def ghypo_cdf(g: GHypoParams, t):
     bad = ~np.isfinite(flat) | (flat < 0)
     if bad.any():
         raise ValueError(f"ghypo_cdf requires finite t >= 0, got t={float(flat[bad][0])!r} for {g}")
-    a_hi, b_hi, a_lo, b_lo = _ordered(g)
+    # b_hi is the larger rate, so the series arguments stay non-negative
+    (_, b_hi), (a_lo, b_lo) = sorted(((g.alpha1, g.beta1), (g.alpha2, g.beta2)),
+                                     key=lambda comp: -comp[1])
     nu = g.alpha1 + g.alpha2
     out = np.zeros_like(flat)
     pos = flat > 0
@@ -188,8 +183,7 @@ def ghypo_cdf(g: GHypoParams, t):
         vals = np.empty_like(tp)
         if series_ok.any():
             ts = tp[series_ok]
-            lp = (g.alpha1 * math.log(g.beta1) + g.alpha2 * math.log(g.beta2)
-                  + nu * np.log(ts) - b_hi * ts - math.lgamma(nu + 1.0))
+            lp = a_lo * math.log(b_lo / b_hi) + _log_gamma_prefactor(nu, b_hi * ts) - math.log(nu)
             logf = lp + log_humbert_phi2(a_lo, nu + 1.0, (b_hi - b_lo) * ts, b_hi * ts)
             f = np.exp(logf)
             if (f > 1.0 + 1e-9).any():

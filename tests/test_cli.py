@@ -379,6 +379,18 @@ class TestDigitsFlag:
         assert code == 0
         assert out.strip() == "0.500"
 
+    @pytest.mark.parametrize("argv", [["index", "--alpha", "2", "--lambda", "0.5"],
+                                      ["bias", "--alpha", "2", "--lambda", "0.5", "--n", "10"],
+                                      ["simulate", "--alpha", "2", "--lambda", "0.5", "--n", "10"]])
+    def test_quiet_is_for_estimate_only(self, capsys, argv):
+        # only estimate writes a diagnostic, so only estimate takes --quiet
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--quiet"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--quiet" in captured.err
+
     def test_negative_digits_is_usage_error(self, tmp_path, capsys):
         commands = (["index", "--alpha", "2", "--lambda", "0.5"],
                     ["estimate", "--input", FIXTURE, "--column", "gdp_per_capita_ppp"],

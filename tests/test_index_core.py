@@ -23,6 +23,12 @@ from helpers import mp_gamma_index, random_discrete
 import mpmath as mp
 
 
+# both sides of the Stirling defect's switch at 8, two shapes between 8 and 18 where the
+# direct form s ln s - s - ln Gamma(s) loses 1.2e-14 and 1.5e-14 in the Hoover and Gini
+# values, and large shapes, where it cancels
+_CLOSED_FORM_SHAPES = (0.5, 7.9, 8.1, 10.0, 12.12, 13.28, 17.9, 18.1, 1e3, 1e5, 1e7, 1e10, 1e12)
+
+
 def _discrete_integral(d: DiscreteDist, lam: float) -> float:
     return integral_index(d.survival, d.mean(), lam,
                           x_breakpoints=d.values, x_upper=d.max_value)
@@ -102,6 +108,11 @@ class TestGammaClosedForms:
         assert gamma_hoover(2.0) == pytest.approx(2.0 * math.exp(-2.0), abs=1e-14)
         ref = float(mp.exp(-mp.mpf("0.5")) / (mp.sqrt(mp.mpf("0.5")) * mp.gamma(mp.mpf("0.5"))))
         assert gamma_hoover(0.5) == pytest.approx(ref, rel=1e-14)
+        with mp.workdps(30):
+            for alpha in _CLOSED_FORM_SHAPES:
+                a = mp.mpf(alpha)
+                ref = float(mp.exp(a * mp.log(a) - a - mp.loggamma(a)) / a)
+                assert gamma_hoover(alpha) == pytest.approx(ref, rel=1e-14), alpha
 
     def test_hoover_is_small_lambda_limit(self):
         assert gamma_index(2.0, 1e-4) == pytest.approx(gamma_hoover(2.0), abs=1e-8)
@@ -144,12 +155,20 @@ class TestGammaClosedForms:
             assert gamma_index(1e4, lam) == pytest.approx(mp_gamma_index(1e4, lam), abs=1e-10)
 
     @pytest.mark.parametrize("alpha", [3e8, 1e9, 1e10])
-    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.9, 1.0])
     def test_huge_shape_meets_normal_limit(self, alpha, lam):
         # the index tends to E|Z1 + lam Z2| / 2 / sqrt(alpha) for standard normal
         # Z1, Z2; the first correction is of relative order 1/alpha
         limit = math.sqrt((1.0 + lam * lam) / (2.0 * math.pi * alpha))
         assert gamma_index(alpha, lam) == pytest.approx(limit, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1e8, 1e10])
+    def test_huge_shape_ends_join_the_interior(self, alpha):
+        # the closed forms at lam = 0 and 1 and the integral route just inside them
+        # describe one continuous function
+        hoover, gini = gamma_index(alpha, 0.0), gamma_index(alpha, 1.0)
+        assert gamma_index(alpha, 1e-9) == pytest.approx(hoover, rel=1e-8)
+        assert gamma_index(alpha, 1.0 - 1e-9) == pytest.approx(gini, rel=1e-8)
 
     def test_non_decreasing_in_weight(self):
         # I(lam) = E|A + lam B| / (2 mu) with A, B independent and centred is
@@ -166,6 +185,11 @@ class TestGammaClosedForms:
             assert gamma_index(alpha, 1.0) == gamma_gini(alpha)
             # the closed form's own approach to the Gini end
             assert abs(gamma_index(alpha, 1.0 - 1e-9) - gamma_gini(alpha)) <= 1e-8
+        with mp.workdps(30):
+            for alpha in _CLOSED_FORM_SHAPES:
+                a = mp.mpf(alpha)
+                ref = float(mp.exp(mp.loggamma(a + 0.5) - mp.loggamma(a)) / (mp.sqrt(mp.pi) * a))
+                assert gamma_gini(alpha) == pytest.approx(ref, rel=1e-14), alpha
 
     def test_domain(self):
         with pytest.raises(ValueError):
