@@ -1,0 +1,53 @@
+"""Argument checks shared by every entry point.
+
+Each check raises a ValueError that names the argument and the value it got,
+and returns the value as the type its caller stores and computes with: a
+float, an int, or a flat float copy of an array.  A leaf module, importing
+only math and numpy, so the special functions and distributions below
+index_core use the same checks as the layers above it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def check_positive(name: str, v) -> float:
+    v = float(v)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    return v
+
+
+def check_shape(alpha) -> float:
+    return check_positive("shape", alpha)
+
+
+def check_lambda(lam) -> float:
+    lam = float(lam)
+    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
+        raise ValueError(f"interpolation weight must lie in [0, 1], got {lam!r}")
+    return lam
+
+
+def check_count(name: str, v, least: int) -> int:
+    if not (math.isfinite(v) and v == int(v) and v >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+    return int(v)
+
+
+def check_points(x, name: str, context=None) -> np.ndarray:
+    """x as a flat float copy whose every point is finite and >= 0.
+
+    `context` maps the call's other arguments to their values; the message
+    names them, and is formatted only when a point fails.
+    """
+    flat = np.array(x, dtype=float).ravel()
+    bad = ~np.isfinite(flat) | (flat < 0)
+    if bad.any():
+        at = ", ".join(f"{k}={v!r}" for k, v in (context or {}).items())
+        raise ValueError(f"{name} must be finite and >= 0, got {float(flat[bad][0])!r}"
+                         + (f" at {at}" if at else ""))
+    return flat

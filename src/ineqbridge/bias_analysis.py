@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import check_count, check_lambda, check_points, check_positive, check_shape
 from .distributions import GammaParams, GHypoParams, gamma_sample, ghypo_cdf
-from .index_core import check_lambda, check_sample_size, check_shape, gamma_gini, gamma_index
+from .index_core import gamma_gini, gamma_index
 from .quadrature import integrate_finite
 from .specfun import _gamma_bulk, reg_gamma_q
 
@@ -41,16 +42,16 @@ _BIAS_ABS_TOL = 1e-10  # on E[I_hat], so on the integral it is n*alpha times thi
 
 @dataclass(frozen=True)
 class BiasQuery:
-    """One (shape, weight, sample size) point of the bias analysis."""
+    """One (shape, weight, sample size) point of the bias analysis, stored as float, float, int."""
 
     alpha: float
     lam: float
     n: int
 
     def __post_init__(self):
-        check_shape(self.alpha)
-        check_lambda(self.lam)
-        check_sample_size(self.n)
+        object.__setattr__(self, "alpha", check_shape(self.alpha))
+        object.__setattr__(self, "lam", check_lambda(self.lam))
+        object.__setattr__(self, "n", check_count("sample size", self.n, 2))
 
 
 def expected_i_hat(q: BiasQuery) -> float:
@@ -67,7 +68,7 @@ def expected_i_hat(q: BiasQuery) -> float:
     gamma-beta mixture oracle on the 84 cells alpha in {20, 50, 100, 200,
     400, 1e3, 1e4} x lam in {0.1, 0.5, 0.9} x n in {3, 10, 40, 120}.
     """
-    alpha, lam, n = q.alpha, q.lam, int(q.n)
+    alpha, lam, n = q.alpha, q.lam, q.n
     if lam == 1.0:
         return gamma_gini(alpha)
     scale_q = n - 1.0 + lam
@@ -120,12 +121,9 @@ def tilting_lemma_check(a: float, b: float, c: float, z: float,
     difference term estimated by a second MC over tilted gammas (a tilted
     gamma keeps its shape and has its rate increased by z).
     """
-    a, b, c, z = float(a), float(b), float(c), float(z)
-    if min(a, b, c) < 0.0 or z <= 0.0:
-        raise ValueError("need a, b, c >= 0 and z > 0")
-    draws = int(draws)
-    if draws < 2:
-        raise ValueError("draws must be >= 2")
+    a, b, c = (check_points(v, name).item() for name, v in (("a", a), ("b", b), ("c", c)))
+    z = check_positive("z", z)
+    draws = check_count("draws", draws, 2)
 
     rng = np.random.default_rng(seed)
     ws = gamma_sample(w, rng, draws)

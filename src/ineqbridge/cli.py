@@ -26,7 +26,6 @@ from .mc_harness import (
     ScenarioFailure,
     SimConfig,
     _replication_sample,
-    compare_i_vs_j,
     format_table,
     run_grid,
     write_csv,
@@ -267,19 +266,11 @@ def _cmd_simulate(args) -> int:
         for f in failures:
             print(f"scenario alpha={f.config.alpha} lambda={f.config.lam} "
                   f"n={f.config.n} failed: {f.message}", file=sys.stderr)
-        extra = None
-        if args.compare_j:
-            comparison = {c: compare_i_vs_j(c) for c in (s.config for s in summaries)}
-
-            def extra(config):
-                bias_i, bias_j = comparison[config]
-                return [("BiasI", bias_i), ("BiasJ", bias_j)]
-
         # the CSV is written before the table, so a failed write prints nothing
         if args.out:
             write_csv(summaries, args.out)
         if summaries:
-            print(format_table(summaries, digits=args.digits, extra=extra))
+            print(format_table(summaries, digits=args.digits, compare_j=args.compare_j))
         if failures:
             return 1
     except (ValueError, RuntimeError, OverflowError, OSError) as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_count, check_points, check_positive
 from .quadrature import integrate_finite
 from .specfun import _gamma_bulk, _log_gamma_prefactor, log_humbert_phi2, reg_gamma_q
 
@@ -37,10 +38,8 @@ class GammaParams:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"gamma shape must be finite and > 0, got {self.alpha!r}")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"gamma rate must be finite and > 0, got {self.beta!r}")
+        object.__setattr__(self, "alpha", check_positive("gamma shape", self.alpha))
+        object.__setattr__(self, "beta", check_positive("gamma rate", self.beta))
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,7 @@ class GHypoParams:
 
     def __post_init__(self):
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"GHypo parameter {name} must be finite and > 0, got {v!r}")
+            object.__setattr__(self, name, check_positive(f"GHypo parameter {name}", getattr(self, name)))
 
     @property
     def mean(self) -> float:
@@ -71,14 +68,13 @@ class DiscreteDist:
     """
 
     def __init__(self, atoms):
+        atoms = list(atoms)
+        values = check_points([v for v, _ in atoms], "atom value").tolist()
         merged: dict[float, float] = {}
-        for v, p in atoms:
-            v = float(v)
+        for v, (_, p) in zip(values, atoms):
             p = float(p)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"atom value must be finite and >= 0, got {v!r}")
-            if not (math.isfinite(p) and 0.0 < p <= 1.0):
-                raise ValueError(f"atom probability must lie in (0, 1], got {p!r}")
+            if not (0.0 < p <= 1.0):  # no other argument lies in (0, 1], so no shared check
+                raise ValueError(f"atom probability must be in (0, 1], got {p!r}")
             merged[v] = merged.get(v, 0.0) + p
         if not merged:
             raise ValueError("a discrete distribution needs at least one atom")
@@ -118,9 +114,7 @@ def gamma_sample(p: GammaParams, rng: np.random.Generator, count: int) -> np.nda
     alpha < 1 a draw with shape alpha+1 is corrected by U^(1/alpha), which
     stays exact for arbitrarily small shapes.
     """
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = check_count("count", count, 1)
     scale = 1.0 / p.beta
     if p.alpha >= 1.0:
         return rng.gamma(p.alpha, scale, size=count)
@@ -165,12 +159,8 @@ def ghypo_cdf(g: GHypoParams, t):
     integral's gamma sums (shapes 0.5 to 1e4, weights 0.1 to 0.999).
     Scalar or ndarray t.
     """
-    ta = np.asarray(t, dtype=float)
-    scalar = ta.ndim == 0
-    flat = np.atleast_1d(ta).ravel().astype(float)
-    bad = ~np.isfinite(flat) | (flat < 0)
-    if bad.any():
-        raise ValueError(f"ghypo_cdf requires finite t >= 0, got t={float(flat[bad][0])!r} for {g}")
+    shape = np.shape(t)
+    flat = check_points(t, "t", {"g": g})
     # b_hi is the larger rate, so the series arguments stay non-negative
     (_, b_hi), (a_lo, b_lo) = sorted(((g.alpha1, g.beta1), (g.alpha2, g.beta2)),
                                      key=lambda comp: -comp[1])
@@ -196,6 +186,6 @@ def ghypo_cdf(g: GHypoParams, t):
         if hard.any():
             vals[hard] = [_ghypo_cdf_convolution(g, float(tv)) for tv in tp[hard]]
         out[pos] = vals
-    if scalar:
+    if not shape:
         return float(out[0])
-    return out.reshape(ta.shape)
+    return out.reshape(shape)

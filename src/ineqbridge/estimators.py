@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .index_core import check_lambda
+from ._checks import check_lambda, check_points
 
 __all__ = [
     "i_hat",
@@ -46,7 +46,8 @@ def _estimate(core, values, min_n: int, *args):
     `values` is one sample (1-D), which gives the core's row (a float if that
     is one number), or an (R, n) block of R samples, which gives the (R, ...)
     array.  A zero mean (an all-zero sample, or a sum so small that the mean
-    underflows) gives its row 0 without the row reaching the core.
+    underflows) gives its row 0 without the row reaching the core.  A sample
+    whose sums overflow a float raises a ValueError, not an inf or nan estimate.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim not in (1, 2):
@@ -55,18 +56,19 @@ def _estimate(core, values, min_n: int, *args):
     n = rows.shape[1]
     if n < min_n:
         raise ValueError(f"sample needs at least {min_n} observations, got {n}")
-    if not np.isfinite(x).all():
-        raise ValueError("sample values must be finite")
-    if (x < 0).any():
-        raise ValueError("sample values must be non-negative")
-    xbar = _row_fsums(rows) / n
-    live = xbar != 0.0
-    if live.all():
-        est = core(rows, n, xbar, *args)
-    else:
-        part = core(rows[live], n, xbar[live], *args)
-        est = np.zeros((len(rows),) + part.shape[1:])
-        est[live] = part
+    rows = check_points(rows, "sample values").reshape(rows.shape)
+    try:
+        with np.errstate(over="raise"):
+            xbar = _row_fsums(rows) / n
+            live = xbar != 0.0
+            if live.all():
+                est = core(rows, n, xbar, *args)
+            else:
+                part = core(rows[live], n, xbar[live], *args)
+                est = np.zeros((len(rows),) + part.shape[1:])
+                est[live] = part
+    except (OverflowError, FloatingPointError):  # from math.fsum and from numpy
+        raise ValueError("sample values too large: a sum over the sample overflows a float") from None
     est = est if x.ndim == 2 else est[0]
     return float(est) if est.ndim == 0 else est
 

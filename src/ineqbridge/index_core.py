@@ -8,7 +8,8 @@ which equals the Hoover index at lam = 0 and the Gini coefficient at
 lam = 1.  This module evaluates it three ways: an exact double sum for
 finite discrete distributions, a survival-function integral for arbitrary
 non-negative distributions, and a closed form for gamma populations built
-from regularized incomplete gamma functions.
+from regularized incomplete gamma functions.  Every argument passes a check
+from `_checks`, which this module shares with every other entry point.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 
 import numpy as np
 
+from ._checks import check_count, check_lambda, check_positive, check_shape
 from .distributions import DiscreteDist
 from .quadrature import integrate_finite, integrate_semi_infinite
 from .specfun import _gamma_bulk, _stirling_defect, reg_gamma_q
@@ -29,28 +31,6 @@ __all__ = [
     "gamma_gini",
     "j_index",
 ]
-
-
-# Parameter checks shared by every public entry point.
-
-def check_shape(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"shape must be finite and > 0, got {alpha!r}")
-    return alpha
-
-
-def check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
-        raise ValueError(f"interpolation weight must lie in [0, 1], got {lam!r}")
-    return lam
-
-
-def check_sample_size(n) -> int:
-    if not (math.isfinite(n) and n == int(n) and n >= 2):
-        raise ValueError(f"sample size must be an integer >= 2, got {n!r}")
-    return int(n)
 
 
 def discrete_index(d: DiscreteDist, lam: float) -> float:
@@ -87,9 +67,7 @@ def integral_index(survival, mean: float, lam: float, *,
     a jump of F at an atom b sits at s = (b-c)/lam.
     """
     lam = check_lambda(lam)
-    mean = float(mean)
-    if not (math.isfinite(mean) and mean > 0.0):
-        raise ValueError(f"mean must be finite and > 0, got {mean!r}")
+    mean = check_positive("mean", mean)
 
     def cdf_left(t):
         return 1.0 - survival(t)
@@ -198,7 +176,5 @@ def j_index(hoover: float, gini: float, lam: float) -> float:
 
 def lambda_grid(grid_size: int) -> list[float]:
     """The weights i / (grid_size - 1), a uniform grid over [0, 1] inclusive."""
-    grid_size = int(grid_size)
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = check_count("grid_size", grid_size, 2)
     return [i / (grid_size - 1) for i in range(grid_size)]

@@ -15,7 +15,10 @@ shared by about 4,096 sample values instead of paid per replication.  Each
 row's estimate equals the estimate of that sample alone, bit for bit.
 A scenario is drawn and estimated in one pass, memoized by its config: one
 estimator call per block with the weights (lam, 0, 1) sorts each sample once
-for the I, H and G estimates that run_scenario and compare_i_vs_j both read.
+for the I, H and G estimates.  Its summary carries the bias of the bridging
+estimator and `bias_j`, the bias of the convex-combination estimator
+(1-lam)*H_hat + lam*G_hat against (1-lam)*H + lam*G, which `compare_i_vs_j`
+and `format_table(..., compare_j=True)` read.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import check_count, check_lambda, check_shape
 from .distributions import GammaParams, gamma_sample
 # h_hat and g_hat run nowhere here: perfbench/tracer.py wraps them in this module by name
 from .estimators import g_hat, h_hat, i_hat_fast, summarize  # noqa: F401
-from .index_core import (check_lambda, check_sample_size, check_shape, gamma_gini,
-                         gamma_hoover, gamma_index, j_index)
+from .index_core import gamma_gini, gamma_hoover, gamma_index, j_index
 
 __all__ = [
     "SimConfig",
@@ -60,13 +63,11 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        check_shape(self.alpha)
-        check_lambda(self.lam)
+        object.__setattr__(self, "alpha", check_shape(self.alpha))
+        object.__setattr__(self, "lam", check_lambda(self.lam))
         # n, reps and seed are stored as int: range, np.empty and the Philox key take no float
-        object.__setattr__(self, "n", check_sample_size(self.n))
-        if not (1 <= self.reps < math.inf and self.reps == int(self.reps)):
-            raise ValueError(f"replication count must be an integer >= 1, got {self.reps!r}")
-        object.__setattr__(self, "reps", int(self.reps))
+        object.__setattr__(self, "n", check_count("sample size", self.n, 2))
+        object.__setattr__(self, "reps", check_count("replication count", self.reps, 1))
         if not (0 <= self.seed < 2 ** 64 and self.seed == int(self.seed)):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -80,6 +81,7 @@ class SimSummary:
     bias: float
     mse: float
     variance: float
+    bias_j: float
 
     @property
     def degenerate(self) -> bool:  # a single replication has no variance information
@@ -139,7 +141,7 @@ def _replicate(config: SimConfig, estimate) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _scenario(config: SimConfig) -> tuple[SimSummary, float]:
+def _scenario(config: SimConfig) -> SimSummary:
     """Summary of the bridging estimates and bias of the J estimates, in one pass."""
     lam = config.lam
     truth = _cached_truth(config.alpha, lam)
@@ -147,13 +149,13 @@ def _scenario(config: SimConfig) -> tuple[SimSummary, float]:
     # one call per block gives I, H and G; each column equals the scalar call bit for bit
     est_i, h, g = _replicate(config, lambda x: i_hat_fast(x, [lam, 0.0, 1.0]).T)
     bias_j = math.fsum(((1.0 - lam) * h + lam * g).tolist()) / config.reps - truth_j
-    return SimSummary(config, truth, *summarize(est_i, truth)), bias_j
+    return SimSummary(config, truth, *summarize(est_i, truth), bias_j)
 
 
 def run_scenario(config: SimConfig) -> SimSummary:
     """Run one scenario and summarize the replications against the truth."""
-    # an equal config (2 == 2.0, -0.0 == 0.0) may have filled the memo; report this one
-    return replace(_scenario(config)[0], config=config)
+    # an equal config (-0.0 == 0.0) may have filled the memo; report this one
+    return replace(_scenario(config), config=config)
 
 
 def run_grid(grid) -> list:
@@ -176,8 +178,8 @@ def compare_i_vs_j(config: SimConfig) -> tuple[float, float]:
     estimator (1-lam)*H_hat + lam*G_hat, from run_scenario's memoized pass;
     at the endpoints the two indices coincide and both truths use the same
     closed form, so the two biases are identical there."""
-    summary, bias_j = _scenario(config)
-    return summary.bias, bias_j
+    s = _scenario(config)
+    return s.bias, s.bias_j
 
 
 def write_csv(summaries, path) -> None:
@@ -193,32 +195,28 @@ def write_csv(summaries, path) -> None:
             ]) + "\n")
 
 
-def format_table(summaries, digits: int = 4, extra=None) -> str:
+def format_table(summaries, digits: int = 4, compare_j: bool = False) -> str:
     """Aligned text table: alpha, lambda, n, truth, mean, bias, MSE, variance.
 
-    `extra` maps a config to additional (name, value) columns, e.g. the
-    convex-combination comparison.  Degenerate single-replication rows are
-    flagged with a trailing marker.
+    `compare_j` adds the columns BiasI and BiasJ, the biases of the bridging
+    and convex-combination estimators.  Degenerate single-replication rows
+    are flagged with a trailing marker.
     """
-    header = ["alpha", "lambda", "n", "I", "Mean", "Bias", "MSE", "Var"]
+    cols = ["alpha", "lambda", "n", "I", "Mean", "Bias", "MSE", "Var"]
+    if compare_j:
+        cols += ["BiasI", "BiasJ"]
     rows = []
     any_degenerate = False
-    extra_names: list[str] = []
     for s in summaries:
         c = s.config
-        row = [f"{c.alpha:g}", f"{c.lam:g}", str(c.n),
-               f"{s.truth:.{digits}f}", f"{s.mean:.{digits}f}", f"{s.bias:.{digits}f}",
-               f"{s.mse:.{digits}f}", f"{s.variance:.{digits}f}"]
-        if extra is not None:
-            for name, value in extra(c):
-                if name not in extra_names:
-                    extra_names.append(name)
-                row.append(f"{value:.{digits}f}")
+        values = [s.truth, s.mean, s.bias, s.mse, s.variance]
+        if compare_j:
+            values += [s.bias, s.bias_j]
+        row = [f"{c.alpha:g}", f"{c.lam:g}", str(c.n)] + [f"{v:.{digits}f}" for v in values]
         if s.degenerate:
             row[-1] += " *"
             any_degenerate = True
         rows.append(row)
-    cols = header + extra_names
     widths = [max(len(cols[i]), max((len(r[i]) for r in rows), default=0)) for i in range(len(cols))]
     lines = ["  ".join(c.rjust(w) for c, w in zip(cols, widths))]
     for r in rows:

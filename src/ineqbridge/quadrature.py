@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_positive
+
 __all__ = ["QuadResult", "QuadratureError", "integrate_finite", "integrate_semi_infinite"]
 
 DEFAULT_ABS_TOL = 1e-11
@@ -97,8 +99,7 @@ def integrate_finite(f, lo: float, hi: float, abs_tol: float = DEFAULT_ABS_TOL,
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
-    if not abs_tol > 0:
-        raise ValueError(f"abs_tol must be positive, got {abs_tol!r}")
+    abs_tol = check_positive("abs_tol", abs_tol)
 
     pts = [lo]
     for b in sorted(float(b) for b in breakpoints):

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from ._checks import check_points, check_positive
+
 __all__ = [
     "reg_gamma_q",
 ]
@@ -228,15 +230,9 @@ def reg_gamma_q(s: float, x):
     2.0e-19 to 2.2e-21).  Each route's arithmetic on a point does not depend
     on the rest of the batch, so a value is the same alone as in any batch.
     """
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"reg_gamma_q requires finite s > 0, got {s!r}")
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    flat = np.atleast_1d(xa).ravel().copy()
-    bad = ~np.isfinite(flat) | (flat < 0)
-    if bad.any():
-        raise ValueError(f"reg_gamma_q requires finite x >= 0, got x={float(flat[bad][0])!r} at s={s!r}")
+    s = check_positive("s", s)
+    shape = np.shape(x)
+    flat = check_points(x, "x", {"s": s})
     out = np.ones_like(flat)
     lo = flat > 0
     temme = lo & (s >= _TEMME_MIN_SHAPE) & (np.abs(flat - s) <= _TEMME_MAX_SIGMA * s)
@@ -248,9 +244,9 @@ def reg_gamma_q(s: float, x):
     cf = lo & ~temme & ~series
     if cf.any():
         out[cf] = _gamma_q_contfrac(s, flat[cf])
-    if scalar:
+    if not shape:
         return float(out[0])
-    return out.reshape(xa.shape)
+    return out.reshape(shape)
 
 
 def _gamma_bulk(s: float) -> tuple[float, float]:
@@ -323,14 +319,9 @@ def log_humbert_phi2(a: float, c: float, x, y):
     1e-13 of max(1, |log|), worst seen 6e-16; at x > y, which the gamma-sum
     distribution never passes, the worst seen is 5.5e-14 (at c = 1e-3).
     """
-    a = float(a)
-    c = float(c)
-    if not (math.isfinite(a) and a > 0.0 and math.isfinite(c) and c > 0.0):
-        raise ValueError(f"log_humbert_phi2 requires a > 0 and c > 0, got a={a!r}, c={c!r}")
+    a, c = check_positive("a", a), check_positive("c", c)
     xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    xf, yf = xa.ravel(), ya.ravel()
-    if not (np.isfinite(xf) & np.isfinite(yf) & (xf >= 0) & (yf >= 0)).all():
-        raise ValueError("log_humbert_phi2 requires finite x >= 0 and y >= 0")
+    xf, yf = check_points(xa, "x", {"a": a, "c": c}), check_points(ya, "y", {"a": a, "c": c})
     out = np.empty_like(xf)
     for k in range(0, xf.size, _COLUMNS):
         out[k:k + _COLUMNS] = _log_phi2_columns(a, c, xf[k:k + _COLUMNS], yf[k:k + _COLUMNS])

@@ -104,7 +104,7 @@ class TestIndexCommand:
         assert err == "error: alpha=2.0 grid=5: lambda=0.75: no convergence\n"
         code, out, err = run_cli(capsys, "index", "--alpha", "2", "--grid", "1")
         assert (code, out) == (1, "")
-        assert err.startswith("error: alpha=2.0 grid=1: grid_size must be >= 2"), err
+        assert err.startswith("error: alpha=2.0 grid=1: grid_size must be an integer >= 2, got 1"), err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -155,6 +155,13 @@ class TestEstimateCommand:
         assert code == 0
         for line in out.strip().split("\n")[1:]:
             assert line.split()[1] == "0.000"
+
+    def test_overflowing_sample_is_an_error(self, tmp_path, capsys):
+        f = tmp_path / "huge.csv"
+        f.write_text("v\n1e308\n1e308\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(f), "--column", "v")
+        assert (code, out) == (1, "")
+        assert err == "error: sample values too large: a sum over the sample overflows a float\n"
 
     def test_missing_column(self, tmp_path, capsys):
         f = tmp_path / "x.csv"
@@ -209,7 +216,7 @@ class TestEstimateCommand:
             code, out, err = run_cli(capsys, "estimate", "--input", FIXTURE,
                                      "--column", "gdp_per_capita_ppp", "--path", size, "--quiet")
             assert code == 1
-            assert "grid_size must be >= 2" in err
+            assert f"grid_size must be an integer >= 2, got {size}" in err
             assert out == ""
 
     def test_fixture_output_is_unchanged(self, capsys):

@@ -140,10 +140,10 @@ class TestGHypoCdf:
         assert np.max(np.abs(ecdf - model)) <= bound
 
     def test_negative_t_rejected(self):
-        with pytest.raises(ValueError, match=r"got t=-1\.0 for GHypoParams\(alpha1=1\.0, beta1=1\.0, "
+        with pytest.raises(ValueError, match=r"^t must be finite and >= 0, got -1\.0 at g=GHypoParams\(alpha1=1\.0, beta1=1\.0, "
                                              r"alpha2=1\.0, beta2=2\.0\)"):
             ghypo_cdf(GHypoParams(1.0, 1.0, 1.0, 2.0), -1.0)
-        with pytest.raises(ValueError, match=r"got t=inf for GHypoParams\(alpha1=3\.0"):
+        with pytest.raises(ValueError, match=r"^t must be finite and >= 0, got inf at g=GHypoParams\(alpha1=3\.0"):
             ghypo_cdf(GHypoParams(3.0, 0.5, 1.2, 4.0), np.array([1.0, np.inf]))
 
 

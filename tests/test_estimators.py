@@ -16,7 +16,7 @@ from ineqbridge import (
     summarize,
 )
 from ineqbridge.estimators import _row_fsums
-from ineqbridge.index_core import check_lambda
+from ineqbridge._checks import check_lambda
 
 from helpers import sorted_route_by_row
 
@@ -62,6 +62,18 @@ class TestIHat:
 
     def test_all_zero_convention(self):
         assert i_hat([0.0, 0.0, 0.0], 0.7) == 0.0
+
+    @pytest.mark.parametrize("est, sample", [
+        (g_hat, [1e306] + [1.0] * 999),
+        (h_hat, [1e308, 1e307]),  # 2 n Xbar overflows, which made the estimate 0
+        (lambda x: i_hat(x, 0.3), [1e308, 1e308]),
+        (lambda x: i_hat_fast(x, 0.5), [1e308, 1e308]),
+        (lambda x: i_hat_fast(x, [0.0, 0.5]), [[1.0, 2.0], [1e308, 1e308]]),
+    ], ids=["g_hat", "h_hat", "i_hat", "i_hat_fast", "i_hat_fast_block"])
+    def test_overflowing_sums_are_an_error(self, est, sample):
+        with pytest.raises(ValueError, match="^sample values too large: a sum over the sample overflows a float$"):
+            est(sample)
+        assert np.isfinite(est(np.array(sample) * 1e-300)).all()  # the estimators are scale free
 
 
 class TestHooverGiniHats:

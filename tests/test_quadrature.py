@@ -40,7 +40,7 @@ class TestFinite:
         with pytest.raises(ValueError):
             integrate_finite(lambda t: t, 1.0, 0.0)
         for bad_tol in (0.0, math.nan):
-            with pytest.raises(ValueError, match="abs_tol must be positive"):
+            with pytest.raises(ValueError, match="abs_tol must be finite and > 0"):
                 integrate_finite(lambda t: t, 0.0, 1.0, abs_tol=bad_tol)
         with pytest.raises(ValueError):
             integrate_finite(lambda t: np.full_like(t, np.nan), 0.0, 1.0)
