@@ -14,11 +14,25 @@ import math
 import numpy as np
 
 
+def _real(v) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError):  # None or "ten": nan, which every check refuses
+        return math.nan
+
+
 def check_positive(name: str, v) -> float:
-    v = float(v)
-    if not (math.isfinite(v) and v > 0.0):
+    f = _real(v)
+    if not (math.isfinite(f) and f > 0.0):
         raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-    return v
+    return f
+
+
+def check_fraction(name: str, v) -> float:
+    f = _real(v)
+    if not 0.0 < f <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {v!r}")
+    return f
 
 
 def check_shape(alpha) -> float:
@@ -26,16 +40,17 @@ def check_shape(alpha) -> float:
 
 
 def check_lambda(lam) -> float:
-    lam = float(lam)
-    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
+    f = _real(lam)
+    if not 0.0 <= f <= 1.0:
         raise ValueError(f"interpolation weight must lie in [0, 1], got {lam!r}")
-    return lam
+    return f
 
 
 def check_count(name: str, v, least: int) -> int:
-    if not (math.isfinite(v) and v == int(v) and v >= least):
+    f = _real(v)
+    if not (math.isfinite(f) and f == int(f) and f >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
-    return int(v)
+    return int(f)
 
 
 def check_points(x, name: str, context=None) -> np.ndarray:

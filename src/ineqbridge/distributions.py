@@ -3,9 +3,8 @@ finite discrete distributions.
 
 The generalized hypoexponential (GHypo) is the law of a sum of two
 independent gamma variables with distinct rates; its distribution function
-is evaluated from a log-space prefactor times a stabilized confluent
-series, with a convolution fallback when the rate ratio makes the series
-impractically long.
+is a log-space prefactor times a confluent series of closed-form diagonals,
+with a convolution fallback where the series grows long.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_count, check_points, check_positive
+from ._checks import check_count, check_fraction, check_points, check_positive
 from .quadrature import integrate_finite
 from .specfun import _gamma_bulk, _log_gamma_prefactor, log_humbert_phi2, reg_gamma_q
 
@@ -72,10 +71,7 @@ class DiscreteDist:
         values = check_points([v for v, _ in atoms], "atom value").tolist()
         merged: dict[float, float] = {}
         for v, (_, p) in zip(values, atoms):
-            p = float(p)
-            if not (0.0 < p <= 1.0):  # no other argument lies in (0, 1], so no shared check
-                raise ValueError(f"atom probability must be in (0, 1], got {p!r}")
-            merged[v] = merged.get(v, 0.0) + p
+            merged[v] = merged.get(v, 0.0) + check_fraction("atom probability", p)
         if not merged:
             raise ValueError("a discrete distribution needs at least one atom")
         total = math.fsum(merged.values())
@@ -149,7 +145,8 @@ def ghypo_cdf(g: GHypoParams, t):
     """Distribution function of the two-gamma sum at t >= 0.
 
     Computed as (b_lo/b_hi)^a_lo (b_hi t)^nu e^(-b_hi t) / Gamma(nu+1), in logs
-    by specfun's prefactor route, times the confluent series, nu = a1 + a2.
+    by specfun's prefactor route, times the confluent series at rate ratio
+    p = b_lo/b_hi (as is: 1 - x/y would lose its digits as p -> 0), nu = a1 + a2.
     Past the series budget, (2*rate_hi - rate_lo)*t > 4e4, it conditions on
     the component (a, b) whose mass ends first and integrates its density
     times the other's CDF over [0, min(t, U/b)], with breakpoints (a -+ w)/b
@@ -174,7 +171,7 @@ def ghypo_cdf(g: GHypoParams, t):
         if series_ok.any():
             ts = tp[series_ok]
             lp = a_lo * math.log(b_lo / b_hi) + _log_gamma_prefactor(nu, b_hi * ts) - math.log(nu)
-            logf = lp + log_humbert_phi2(a_lo, nu + 1.0, (b_hi - b_lo) * ts, b_hi * ts)
+            logf = lp + log_humbert_phi2(a_lo, nu + 1.0, b_lo / b_hi, b_hi * ts)
             f = np.exp(logf)
             if (f > 1.0 + 1e-9).any():
                 bad = float(f.max())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ineqbridge import (
     DiscreteDist,
@@ -51,6 +52,14 @@ class TestGammaSample:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             gamma_sample(GammaParams(1.0, 1.0), np.random.default_rng(0), 0)
+
+    @pytest.mark.parametrize("alpha", [0.999, 1.0])
+    def test_law_on_both_sides_of_the_shape_switch(self, alpha):
+        # below shape 1 a draw is a shape alpha+1 draw times U^(1/alpha), from 1 on a direct draw
+        p = GammaParams(alpha, 2.5)
+        x = gamma_sample(p, np.random.default_rng(2024), 20_000)
+        result = stats.kstest(x, stats.gamma(alpha, scale=1.0 / p.beta).cdf)
+        assert result.pvalue > 1e-3, result
 
     def test_tilted_distribution_identity(self):
         # E[1{X <= t} e^(-zX)] / L(z) must match the gamma law with rate beta + z

@@ -6,10 +6,9 @@ import pytest
 from scipy.special import gammainc, gammaincc
 
 from ineqbridge import reg_gamma_q, specfun
-from ineqbridge.specfun import _BLOCK, _TEMME_D, log_humbert_phi2
+from ineqbridge.specfun import _BLOCK, _TEMME_D, _phi2_windows, log_humbert_phi2
 
-from helpers import (erfc_series, gamma_series_stop_term, mp_phi2_unit, mp_reg_q, mp_temme_coefficients,
-                     phi2_stop_term)
+from helpers import erfc_series, gamma_series_stop_term, mp_phi2_unit, mp_reg_q, mp_temme_coefficients
 
 # frozen oracle outputs (recomputed below to guard the freeze itself)
 ERFC_1 = 0.15729920705028513
@@ -177,59 +176,71 @@ class TestRegGammaQ:
 
 class TestHumbertPhi2:
     def test_matches_reference_series(self):
-        for a, c, x, y in [(1.0, 3.0, 1.0, 2.0), (2.5, 7.0, 0.0, 4.0),
-                           (4.0, 12.5, 3.3, 9.9), (0.7, 2.1, 8.0, 0.0)]:
-            ref = float(mp_phi2_unit(a, c, x, y))
-            assert math.exp(log_humbert_phi2(a, c, x, y)) == pytest.approx(ref, rel=1e-12)
+        for a, c, p, y in [(1.0, 3.0, 0.5, 2.0), (2.5, 7.0, 1.0, 4.0), (4.0, 12.5, 2.0 / 3.0, 9.9)]:
+            ref = float(mp_phi2_unit(a, c, p, y))
+            assert math.exp(log_humbert_phi2(a, c, p, y)) == pytest.approx(ref, rel=1e-12)
 
     def test_reduces_to_1f1_when_x_is_zero(self):
-        for c, y in [(4.0, 2.0), (11.0, 30.0)]:
-            assert log_humbert_phi2(5.0, c, 0.0, y) == pytest.approx(
+        # p = 1 puts x = (1 - p) y at 0, where the series is 1F1(1; c; y)
+        for c, y in [(4.0, 2.0), (11.0, 30.0), (20.5, 500.0)]:
+            assert log_humbert_phi2(5.0, c, 1.0, y) == pytest.approx(
                 float(mp.log(mp.hyp1f1(1, c, y))), rel=1e-12)
+
+    def test_zero_y_gives_exactly_zero(self):
+        assert log_humbert_phi2(2.5, 7.0, 0.3, 0.0) == 0.0
+        got = log_humbert_phi2(2.5, 7.0, 0.3, np.array([[0.0, 1.5], [0.0, 40.0]]))
+        assert got.shape == (2, 2) and got[0, 0] == 0.0 and got[1, 0] == 0.0 and (got[:, 1] > 0).all()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            log_humbert_phi2(-1.0, 2.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
+            log_humbert_phi2(-1.0, 2.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\], got -1\.0$"):
             log_humbert_phi2(1.0, 2.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\], got 1\.5$"):
+            log_humbert_phi2(1.0, 2.0, 1.5, 1.0)
+        with pytest.raises(ValueError, match=r"^y must be finite and >= 0, got -1\.0 at a=1\.0, c=2\.0, p=0\.5$"):
+            log_humbert_phi2(1.0, 2.0, 0.5, [1.0, -1.0])
 
-    def test_blocked_series_against_mpmath(self):
+    def test_series_against_mpmath(self):
         # shapes a in {0.5, 10} and c up to 1,191 as the bias table meets them, up to the
-        # x + y = 4e4 budget of ghypo_cdf; (1, 1, 2e3, 1e-3) has x >> y, where the shifted
-        # block sums underflow and the block accumulates in log space
-        for a, c, x, y in [(0.5, 5.5, 0.003, 0.0032), (0.5, 20.5, 5.6, 5.62), (10.0, 791.0, 459.6, 465.3),
-                           (2.0, 79.0, 362.0, 389.0), (0.5, 20.5, 1.9e4, 2.0e4),
-                           (10.0, 1191.0, 1.988e4, 1.994e4), (1.0, 1.0, 2.0e3, 1e-3)]:
-            ref = float(mp.log(mp_phi2_unit(a, c, x, y, terms=30_000)))
-            got = log_humbert_phi2(a, c, x, y)
-            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (a, c, x, y, got, ref)
+        # x + y = 4e4 budget of ghypo_cdf; then a = 400, where p^a = 41^-400 underflows
+        # (ln Phi2 = 832.0850505474268 at 40 digits), and a = 1e3 at c = a + 2, where the
+        # NB(a, p) mass lies far past y - c and the window reaches past its usual 22 sqrt(y) + 40;
+        # last, two points on each side of the window's clamp at diagonal 0 (test_window_sizes)
+        cases = [(0.5, 5.5, 1.0 / 16.0, 0.0032), (0.5, 20.5, 0.02 / 5.62, 5.62), (10.0, 791.0, 5.7 / 465.3, 465.3),
+                 (2.0, 79.0, 27.0 / 389.0, 389.0), (0.5, 20.5, 0.05, 2.0e4), (10.0, 1191.0, 0.06 / 1.994e4, 1.994e4),
+                 (400.0, 15601.0, 1.0 / 41.0, 1.5e4), (1e3, 1002.0, 1e-6, 2e3)]
+        cases += [(2.0, 20.5, 0.3, y) for y in (150.0, 190.0, 200.0, 260.0)]
+        for a, c, p, y in cases:
+            ref = float(mp.log(mp_phi2_unit(a, c, p, y, terms=30_000)))
+            if a == 400.0:
+                assert ref == pytest.approx(832.0850505474268, abs=1e-12)
+            got = log_humbert_phi2(a, c, p, y)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (a, c, p, y, got, ref)
+        lo, count = _phi2_windows(1e3, 1002.0, 1e-6, np.array([2e3]))
+        assert lo[0] + count[0] > 2e3 - 1002.0 + 11.0 * math.sqrt(2e3) + 20.0
 
-    def test_stop_on_both_sides_of_a_block_boundary(self):
-        # the series stops at its third consecutive term below 1e-16 of the running sum;
-        # that term falls just before, on and just after the end of the first block
-        ys = np.arange(40.0, 80.0, 0.25)
-        stops = [phi2_stop_term(2.5, 7.0, 0.9 * y, y) for y in ys]
-        for target in range(_BLOCK - 1, _BLOCK + 3):
-            y = float(ys[stops.index(target)])
-            ref = float(mp.log(mp_phi2_unit(2.5, 7.0, 0.9 * y, y)))
-            assert log_humbert_phi2(2.5, 7.0, 0.9 * y, y) == pytest.approx(ref, rel=1e-13), target
+    def test_window_sizes(self):
+        # a window starts at y - c - 11 sqrt(y) - 20, or at diagonal 0 where that is negative, and
+        # holds 22 sqrt(y) + 40 diagonals unless the NB(a, p) mass lies far past y - c
+        ys = np.array([150.0, 190.0, 200.0, 260.0])
+        lo, count = _phi2_windows(2.0, 20.5, 0.3, ys)
+        assert lo.tolist()[:2] == [0, 0] and (lo[2:] > 0).all()
+        assert (count == np.ceil(22.0 * np.sqrt(ys) + 40.0)).all()
+        # at the gamma sums of the bias table (shape a = alpha <= 10, c = (n-1) alpha + 1) a window
+        # is extended by at most 26 diagonals
+        for alpha, lam, n in [(0.5, 0.25, 10), (10.0, 0.25, 120), (10.0, 0.999, 120), (2.0, 0.999, 40)]:
+            b_hi, b_lo = 1.0 / (1.0 - lam), 1.0 / (1.0 + (n - 1) * lam)
+            y = np.geomspace(1e-4, 4e4 * b_hi / (2.0 * b_hi - b_lo), 200)
+            _, count = _phi2_windows(alpha, (n - 1) * alpha + 1.0, b_lo / b_hi, y)
+            assert (count <= np.ceil(22.0 * np.sqrt(y) + 40.0) + 26).all(), (alpha, lam, n)
 
-    def test_points_do_not_depend_on_their_batch(self):
-        x = np.array([0.0, 0.3, 2.0, 40.0, 52.0, 140.0, 300.0, 480.0, 5.0])
-        y = np.array([0.5, 0.4, 2.5, 45.0, 58.5, 150.0, 320.0, 520.0, 0.0])
-        blocks = {(phi2_stop_term(3.0, 9.0, xi, yi) - 1) // _BLOCK for xi, yi in zip(x, y)}
-        assert len(blocks) >= 4
-        together = log_humbert_phi2(3.0, 9.0, x, y)
-        for xi, yi, got in zip(x, y, together):
-            alone = log_humbert_phi2(3.0, 9.0, xi, yi)
-            assert abs(got - alone) <= 1e-15 * abs(alone), (xi, yi)
-        assert np.array_equal(log_humbert_phi2(3.0, 9.0, x[::-1], y[::-1]), together[::-1])
-
-    def test_term_cap_names_the_arguments(self, monkeypatch):
-        # the last block before a 200-term cap is short; a series that stops inside it is kept
-        assert _BLOCK < phi2_stop_term(2.5, 7.0, 72.0, 80.0) < 200
-        uncapped = log_humbert_phi2(2.5, 7.0, 72.0, 80.0)
-        monkeypatch.setattr(specfun, "_TERM_CAP", 200)
-        assert log_humbert_phi2(2.5, 7.0, 72.0, 80.0) == uncapped
-        with pytest.raises(RuntimeError, match=r"200-term cap \(a=2\.5, c=7\.0, max x=900\.0, max y=1000\.0\)"):
-            log_humbert_phi2(2.5, 7.0, [1.0, 900.0], [1.0, 1000.0])
+    def test_points_do_not_depend_on_their_batch(self, monkeypatch):
+        # clamped and unclamped windows of different lengths, y = 0, and several chunks
+        y = np.array([0.5, 0.4, 2.5, 45.0, 58.5, 150.0, 320.0, 520.0, 0.0, 2e4, 1.3e4])
+        together = log_humbert_phi2(3.0, 9.0, 0.15, y)
+        for yi, got in zip(y, together):
+            assert got == log_humbert_phi2(3.0, 9.0, 0.15, yi), yi
+        assert np.array_equal(log_humbert_phi2(3.0, 9.0, 0.15, y[::-1]), together[::-1])
+        monkeypatch.setattr(specfun, "_CHUNK", 4000)
+        assert np.array_equal(log_humbert_phi2(3.0, 9.0, 0.15, y), together)

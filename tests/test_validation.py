@@ -35,6 +35,13 @@ BAD_INPUTS = (
        for param, least, bad in (("count", 1, 2.7), ("count", 1, math.inf), ("grid_size", 2, 2.9),
                                  ("draws", 2, 2.5), ("draws", 2, math.inf))]
     + [("a", math.inf, "a must be finite and >= 0, got inf"), ("z", math.inf, "z must be finite and > 0, got inf")]
+    # what float() refuses names its argument as any other bad value does
+    + [("alpha", bad, f"shape must be finite and > 0, got {bad!r}") for bad in (None, "two")]
+    + [("lam", bad, f"interpolation weight must lie in [0, 1], got {bad!r}") for bad in (None, "half")]
+    + [("n", bad, f"sample size must be an integer >= 2, got {bad!r}") for bad in (None, "ten", "2.5")]
+    + [(param, bad, f"{param} must be an integer >= {least}, got {bad!r}")
+       for param, least in (("count", 1), ("grid_size", 2), ("draws", 2)) for bad in (None, "ten")]
+    + [("z", None, "z must be finite and > 0, got None")]
 )
 
 
@@ -72,6 +79,8 @@ def test_sim_config_stores_whole_numbers_as_int(field):
 
 @pytest.mark.parametrize("config, field, given, stored", [
     ("BiasQuery", "alpha", "2", 2.0), ("BiasQuery", "n", 10.0, 10), ("SimConfig", "alpha", "2", 2.0),
+    ("BiasQuery", "n", "10", 10), ("BiasQuery", "lam", "0.5", 0.5), ("SimConfig", "n", "10", 10),
+    ("SimConfig", "reps", "10", 10),
 ])
 def test_configs_store_the_checked_value(config, field, given, stored):
     make, run = {"BiasQuery": (BiasQuery, expected_i_hat), "SimConfig": (SimConfig, run_scenario)}[config]
