@@ -27,7 +27,7 @@ from ._checks import check_count, check_lambda, check_points, check_positive, ch
 from .distributions import GammaParams, GHypoParams, gamma_sample, ghypo_cdf
 from .index_core import gamma_gini, gamma_index
 from .quadrature import integrate_finite
-from .specfun import _gamma_bulk, reg_gamma_q
+from .specfun import _gamma_bulk, _stirling_defect, reg_gamma_q
 
 __all__ = [
     "BiasQuery",
@@ -57,33 +57,34 @@ class BiasQuery:
 def expected_i_hat(q: BiasQuery) -> float:
     """Expectation of the plug-in estimator under a gamma population.
 
-    lam = 0 is the Hoover estimator and lam = 1 returns the Gini coefficient
-    exactly.  At n = 2 (first shape 0) or lam = 0 (equal rates) the
-    gamma-sum law is a single gamma with shape (n-1)*alpha and rate
-    1/(1+(n-1)*lam).  The integral runs over [0, U*s_q], s_q = n-1+lam,
-    with U the cut of Q(alpha, .) from specfun._gamma_bulk, and breakpoints
-    fence in the falls of its two factors near the gamma sum's mean
-    alpha*s_q: Q(alpha, t/s_q) over s_q*(alpha -+ 8 sqrt(alpha)) and S over
-    8 of the sum's standard deviations.  Within 5.3e-13 of a 128-node
-    gamma-beta mixture oracle on the 84 cells alpha in {20, 50, 100, 200,
-    400, 1e3, 1e4} x lam in {0.1, 0.5, 0.9} x n in {3, 10, 40, 120}.
+    Closed forms: G(alpha) at lam = 1; (1+lam) G(alpha)/2 at n = 2, where the
+    estimator is (1+lam)/2 times the unbiased Gini estimator; at lam = 0
+    (Hoover), E(1 - nS)^+ for a Beta(alpha, (n-1) alpha) share S (Lukacs
+    1955; DLMF 8.17.20), exp(D(alpha) + D((n-1) alpha) - D(n alpha))/alpha
+    with D = specfun._stirling_defect, within 1e-14 relative of 40-digit
+    mpmath for alpha from 1e-3 to 1e4 and n from 2 to 4000.  Otherwise the
+    integral runs over [0, U*s_q], s_q = n-1+lam, with U the cut of
+    Q(alpha, .) from specfun._gamma_bulk, and breakpoints fence in the falls
+    of its two factors near the gamma sum's mean alpha*s_q: Q(alpha, t/s_q)
+    over s_q*(alpha -+ 8 sqrt(alpha)) and S over 8 of the sum's standard
+    deviations.  Within 5.3e-13 of a 128-node gamma-beta mixture oracle on
+    the 84 cells alpha in {20, 50, 100, 200, 400, 1e3, 1e4} x lam in
+    {0.1, 0.5, 0.9} x n in {3, 10, 40, 120}.
     """
     alpha, lam, n = q.alpha, q.lam, q.n
     if lam == 1.0:
         return gamma_gini(alpha)
+    if n == 2:
+        return (1.0 + lam) * gamma_gini(alpha) / 2.0
+    if lam == 0.0:
+        return math.exp(_stirling_defect(alpha) + _stirling_defect((n - 1) * alpha)
+                        - _stirling_defect(n * alpha)) / alpha
     scale_q = n - 1.0 + lam
     scale_sum = 1.0 + (n - 1) * lam
-    if n == 2 or lam == 0.0:
-        shape_sum = (n - 1) * alpha
-        def survival(t):
-            return reg_gamma_q(shape_sum, np.asarray(t, dtype=float) / scale_sum)
-    else:
-        g = GHypoParams((n - 2) * alpha, 1.0 / (1.0 - lam), alpha, 1.0 / scale_sum)
-        def survival(t):
-            return 1.0 - ghypo_cdf(g, t)
+    g = GHypoParams((n - 2) * alpha, 1.0 / (1.0 - lam), alpha, 1.0 / scale_sum)
 
     def integrand(t):
-        return survival(t) * reg_gamma_q(alpha, np.asarray(t, dtype=float) / scale_q)
+        return (1.0 - ghypo_cdf(g, t)) * reg_gamma_q(alpha, np.asarray(t, dtype=float) / scale_q)
 
     cut, w = _gamma_bulk(alpha)
     sd_sum = math.sqrt((n - 2) * alpha * (1.0 - lam) ** 2 + alpha * scale_sum ** 2)

@@ -144,15 +144,17 @@ def _ghypo_cdf_convolution(g: GHypoParams, t: float) -> float:
 def ghypo_cdf(g: GHypoParams, t):
     """Distribution function of the two-gamma sum at t >= 0.
 
-    Computed as (b_lo/b_hi)^a_lo (b_hi t)^nu e^(-b_hi t) / Gamma(nu+1), in logs
-    by specfun's prefactor route, times the confluent series at rate ratio
-    p = b_lo/b_hi (as is: 1 - x/y would lose its digits as p -> 0), nu = a1 + a2.
-    Past the series budget, (2*rate_hi - rate_lo)*t > 4e4, it conditions on
-    the component (a, b) whose mass ends first and integrates its density
-    times the other's CDF over [0, min(t, U/b)], with breakpoints (a -+ w)/b
-    (U, w from specfun._gamma_bulk) around the density's spike at large
-    shapes, and in v = (b u)^a below shape 1, where u^(a-1) would overflow:
-    within 3.1e-11 of a scipy quadrature oracle at 885 points of the bias
+    Exactly 1 at t >= U1/b1 + U2/b2 (U, w from specfun._gamma_bulk), where
+    1 - F <= Q(a1, U1) + Q(a2, U2) < 1e-22.  Below, computed as
+    (b_lo/b_hi)^a_lo (b_hi t)^nu e^(-b_hi t) / Gamma(nu+1), in logs by
+    specfun's prefactor route, times the confluent series at rate ratio
+    p = b_lo/b_hi (as is: 1 - x/y would lose its digits as p -> 0), with
+    nu = a1 + a2.  Past the series budget, (2*rate_hi - rate_lo)*t > 4e4,
+    it conditions on the component (a, b) whose mass ends first and
+    integrates its density times the other's CDF over [0, min(t, U/b)],
+    with breakpoints (a -+ w)/b around the density's spike at large shapes,
+    and in v = (b u)^a below shape 1, where u^(a-1) would overflow: within
+    3.1e-11 of a scipy quadrature oracle at 885 points of the bias
     integral's gamma sums (shapes 0.5 to 1e4, weights 0.1 to 0.999).
     Scalar or ndarray t.
     """
@@ -162,27 +164,21 @@ def ghypo_cdf(g: GHypoParams, t):
     (_, b_hi), (a_lo, b_lo) = sorted(((g.alpha1, g.beta1), (g.alpha2, g.beta2)),
                                      key=lambda comp: -comp[1])
     nu = g.alpha1 + g.alpha2
-    out = np.zeros_like(flat)
-    pos = flat > 0
-    if pos.any():
-        tp = flat[pos]
-        series_ok = (2.0 * b_hi - b_lo) * tp <= _PHI2_BUDGET
-        vals = np.empty_like(tp)
-        if series_ok.any():
-            ts = tp[series_ok]
-            lp = a_lo * math.log(b_lo / b_hi) + _log_gamma_prefactor(nu, b_hi * ts) - math.log(nu)
-            logf = lp + log_humbert_phi2(a_lo, nu + 1.0, b_lo / b_hi, b_hi * ts)
-            f = np.exp(logf)
-            if (f > 1.0 + 1e-9).any():
-                bad = float(f.max())
-                raise RuntimeError(
-                    f"GHypo distribution function exceeded 1 ({bad!r}) for parameters {g}"
-                )
-            vals[series_ok] = np.minimum(f, 1.0)
-        hard = ~series_ok
-        if hard.any():
-            vals[hard] = [_ghypo_cdf_convolution(g, float(tv)) for tv in tp[hard]]
-        out[pos] = vals
-    if not shape:
-        return float(out[0])
-    return out.reshape(shape)
+    ends = _gamma_bulk(g.alpha1)[0] / g.beta1 + _gamma_bulk(g.alpha2)[0] / g.beta2
+    out = np.where(flat >= ends, 1.0, 0.0)
+    within = (2.0 * b_hi - b_lo) * flat <= _PHI2_BUDGET
+    series = within & (flat > 0) & (flat < ends)
+    if series.any():
+        ts = flat[series]
+        lp = a_lo * math.log(b_lo / b_hi) + _log_gamma_prefactor(nu, b_hi * ts) - math.log(nu)
+        logf = lp + log_humbert_phi2(a_lo, nu + 1.0, b_lo / b_hi, b_hi * ts)
+        f = np.exp(logf)
+        if (f > 1.0 + 1e-9).any():
+            bad = float(f.max())
+            raise RuntimeError(
+                f"GHypo distribution function exceeded 1 ({bad!r}) for parameters {g}"
+            )
+        out[series] = np.minimum(f, 1.0)
+    for i in np.flatnonzero(~within & (flat < ends)):
+        out[i] = _ghypo_cdf_convolution(g, float(flat[i]))
+    return float(out[0]) if not shape else out.reshape(shape)

@@ -1,18 +1,22 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from ineqbridge import (
     BiasQuery,
     GammaParams,
     bias,
+    distributions,
     expected_i_hat,
     gamma_gini,
     gamma_hoover,
+    specfun,
     tilting_lemma_check,
 )
 
-from helpers import analytic_bias_table, mix_expected_i_hat, mp_expected_i_hat, tilting_agrees
+from helpers import analytic_bias_table, mix_expected_i_hat, mp_beta_expect, mp_expected_i_hat, tilting_agrees
 from reference_values import MC_REFERENCE
 
 
@@ -47,8 +51,33 @@ class TestExpectedIHat:
             assert abs(got - oracle) <= 1e-9, alpha
 
     def test_pair_sample_degenerate_component(self):
-        # n = 2 collapses the two-gamma sum to a single gamma survival
+        # n = 2: (1 + lam)/2 times the Gini coefficient, 0.375 at shape 2
         assert expected_i_hat(BiasQuery(alpha=2.0, lam=0.5, n=2)) == pytest.approx(0.28125, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha, lam", [(1e-3, 0.0), (0.5, 0.3), (2.0, 0.9), (20.0, 0.5)])
+    def test_pair_is_a_multiple_of_the_gini_estimator(self, alpha, lam):
+        # at n = 2 the estimator is (1+lam)/2 |X1 - X2|/(X1 + X2), and B = X1/(X1 + X2) is
+        # Beta(alpha, alpha); mp_beta_expect's substitutions lose digits past alpha ~ 20
+        with mp.workdps(30):
+            oracle = (1 + mp.mpf(lam)) / 2 * mp_beta_expect(alpha, alpha, lambda b, omb: abs(b - omb))
+        got = expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=2))
+        assert abs(got - float(oracle)) <= 1e-14 * float(oracle)
+
+    @pytest.mark.parametrize("alpha, lam, n, builds, convolutions", [
+        (1.0, 0.75, 120, 2, 13), (0.5, 0.75, 120, 2, 5), (10.0, 0.75, 120, 1, 8), (2.0, 0.999, 40, 3, 120),
+    ])
+    def test_work_per_cell(self, alpha, lam, n, builds, convolutions, monkeypatch):
+        # one Phi2 table per bias integral, rebuilt only when a call needs more diagonals, and no
+        # convolution past the gamma sum's mass, where its CDF is exactly 1
+        counts = {"_phi2_table": 0, "_ghypo_cdf_convolution": 0}
+        for module, name in ((specfun, "_phi2_table"), (distributions, "_ghypo_cdf_convolution")):
+            def counted(*args, name=name, f=getattr(module, name)):
+                counts[name] += 1
+                return f(*args)
+            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(specfun, "_phi2_memo", (None, np.empty(0), None, None))
+        expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n))
+        assert (counts["_phi2_table"], counts["_ghypo_cdf_convolution"]) == (builds, convolutions)
 
     @pytest.mark.parametrize("alpha, lam, n, oracle", [
         (400.0, 0.5, 40, 0.022239867300),
@@ -73,6 +102,22 @@ class TestExpectedIHat:
 
 
 class TestExpectedHHat:
+    @pytest.mark.parametrize("alpha", [1e-3, 2e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e3, 1e4])
+    def test_closed_form_against_mpmath(self, alpha):
+        # S = X1/sum X is Beta(alpha, (n-1) alpha), and E[H_hat] = E(1 - nS)^+ is
+        # x^a (1-x)^b / (a B(a, b)) at x = 1/n, a = alpha, b = (n-1) alpha (DLMF 8.17.20);
+        # a quadrature of the single-gamma survival, whose Q((n-1) alpha, .) has a corner at 0,
+        # missed the three frozen small-shape cells by 1.1e-10 to 4.5e-9
+        frozen = {(1e-3, 40): 0.970511777987736, (1e-3, 50): 0.975283695167826, (2e-3, 40): 0.966158136832221}
+        for n in (2, 3, 10, 40, 50, 120, 250, 4000):
+            with mp.workdps(40):
+                a, b, x = mp.mpf(alpha), (n - 1) * mp.mpf(alpha), mp.mpf(1) / n
+                oracle = float(x ** a * (1 - x) ** b / (a * mp.beta(a, b)))
+            if (alpha, n) in frozen:
+                assert oracle == pytest.approx(frozen[alpha, n], rel=0.0, abs=1e-15)  # 15 digits
+            got = expected_i_hat(BiasQuery(alpha=alpha, lam=0.0, n=n))
+            assert abs(got - oracle) <= 1e-14 * oracle, (alpha, n, got, oracle)
+
     def test_exponential_pair_closed_form(self):
         assert expected_i_hat(BiasQuery(alpha=1.0, lam=0.0, n=2)) == pytest.approx(0.25, abs=1e-9)
 

@@ -8,11 +8,13 @@ from ineqbridge import (
     DiscreteDist,
     GammaParams,
     GHypoParams,
+    distributions,
     gamma_sample,
     ghypo_cdf,
     reg_gamma_q,
 )
 from ineqbridge.distributions import _ghypo_cdf_convolution
+from ineqbridge.specfun import _gamma_bulk
 
 from helpers import hypoexp_cdf, mp_ghypo_cdf, quad_ghypo_cdf
 
@@ -107,6 +109,25 @@ class TestGHypoCdf:
         vals = ghypo_cdf(g, ts)
         assert (np.diff(vals) >= -1e-12).all()
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("g", [
+        GHypoParams(2.0, 0.8, 1.0, 1.5),  # the series just below the cut
+        GHypoParams(5.0, 300.0, 2.0, 1.0),
+        GHypoParams(8e-3, 1000.0, 1e-3, 1.0 / 9.991),
+        GHypoParams(118.0, 4.0, 1.0, 1.0 / 90.25),  # the gamma sum of the bias cell (1, 0.75, 120)
+        GHypoParams(1.18e6, 2.0, 1e4, 1.0 / 60.5),
+    ])
+    def test_exactly_one_past_the_joint_cut(self, g, monkeypatch):
+        # past U1/b1 + U2/b2, 1 - F <= Q(a1, U1) + Q(a2, U2) < 1e-22 rounds to exactly 1
+        cut = _gamma_bulk(g.alpha1)[0] / g.beta1 + _gamma_bulk(g.alpha2)[0] / g.beta2
+        below = ghypo_cdf(g, np.nextafter(cut, 0.0))
+        assert 1.0 - 1e-14 <= below <= 1.0
+        def unexpected(*args):
+            raise AssertionError("no series or convolution past the cut")
+        monkeypatch.setattr(distributions, "log_humbert_phi2", unexpected)
+        monkeypatch.setattr(distributions, "_ghypo_cdf_convolution", unexpected)
+        assert ghypo_cdf(g, cut) == 1.0
+        assert ghypo_cdf(g, np.array([cut, np.nextafter(cut, np.inf), 2.0 * cut, 1e300])).tolist() == [1.0] * 4
 
     def test_convolution_route_matches_series(self):
         # straddle the series budget so both evaluation routes are exercised; the

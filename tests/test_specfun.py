@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from scipy.special import gammainc, gammaincc
 
 from ineqbridge import reg_gamma_q, specfun
-from ineqbridge.specfun import _BLOCK, _TEMME_D, _phi2_windows, log_humbert_phi2
+from ineqbridge.specfun import _BLOCK, _TEMME_D, _gamma_bulk, _phi2_windows, log_humbert_phi2
 
 from helpers import erfc_series, gamma_series_stop_term, mp_phi2_unit, mp_reg_q, mp_temme_coefficients
 
@@ -174,6 +176,14 @@ class TestRegGammaQ:
                     assert got == pytest.approx(ref, rel=0.0, abs=1e-14), (s, x)
 
 
+class TestGammaBulk:
+    def test_q_at_the_cut_is_below_1e_22(self):
+        # ghypo_cdf returns exactly 1 past U1/b1 + U2/b2, as 1 - F <= Q(a1, U1) + Q(a2, U2) there
+        for s in np.geomspace(1e-10, 1e10, 2001):
+            cut, _ = _gamma_bulk(float(s))
+            assert gammaincc(s, cut) < 1e-22, s
+
+
 class TestHumbertPhi2:
     def test_matches_reference_series(self):
         for a, c, p, y in [(1.0, 3.0, 0.5, 2.0), (2.5, 7.0, 1.0, 4.0), (4.0, 12.5, 2.0 / 3.0, 9.9)]:
@@ -234,6 +244,59 @@ class TestHumbertPhi2:
             y = np.geomspace(1e-4, 4e4 * b_hi / (2.0 * b_hi - b_lo), 200)
             _, count = _phi2_windows(alpha, (n - 1) * alpha + 1.0, b_lo / b_hi, y)
             assert (count <= np.ceil(22.0 * np.sqrt(y) + 40.0) + 26).all(), (alpha, lam, n)
+
+    def test_table_memo_changes_no_value(self, monkeypatch):
+        # one table per (a, c, p), built again only for a new key or for more diagonals
+        builds = []
+        def counted(*args, build=specfun._phi2_table):
+            builds.append(args)
+            return build(*args)
+        monkeypatch.setattr(specfun, "_phi2_table", counted)
+        cold = (None, np.empty(0), None, None)
+        ys = np.array([0.5, 45.0, 320.0, 2e4])
+        for a, c, p in [(3.0, 9.0, 0.15), (0.5, 20.5, 0.05), (10.0, 1191.0, 3e-6)]:
+            monkeypatch.setattr(specfun, "_phi2_memo", cold)
+            alone = [log_humbert_phi2(a, c, p, y) for y in ys]  # a build at each larger y
+            assert len(builds) == 4
+            log_humbert_phi2(a, c, p, 2.0 * ys[-1])
+            warm_larger = [log_humbert_phi2(a, c, p, y) for y in ys]
+            log_humbert_phi2(2.0, 20.5, 0.3, 150.0)
+            warm_other = log_humbert_phi2(a, c, p, ys)
+            assert len(builds) == 7
+            assert warm_larger == alone and warm_other.tolist() == alone, (a, c, p)
+            key, *tables = specfun._phi2_memo
+            assert key == (a, c, p) and not any(t.flags.writeable for t in tables)
+            builds.clear()
+
+    def test_table_memo_under_concurrent_callers(self, monkeypatch):
+        # six threads on two cores, each switching between three keys and four lengths of table,
+        # every value equal to its single-threaded one
+        keys = [(3.0, 9.0, 0.15), (0.5, 20.5, 0.05), (10.0, 1191.0, 3e-6)]
+        ys = [0.5, 45.0, 320.0, 2e3]
+        expected = {(key, y): log_humbert_phi2(*key, y) for key in keys for y in ys}
+        wrong, done = [], []
+
+        def worker(seed):
+            order = list(expected)
+            for i in range(100):
+                key, y = order[(seed * 7 + i * 5) % len(order)]
+                if log_humbert_phi2(*key, y) != expected[key, y]:
+                    wrong.append((key, y))
+            done.append(seed)
+
+        monkeypatch.setattr(specfun, "_phi2_memo", (None, np.empty(0), None, None))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(6)) and not wrong
 
     def test_points_do_not_depend_on_their_batch(self, monkeypatch):
         # clamped and unclamped windows of different lengths, y = 0, and several chunks
