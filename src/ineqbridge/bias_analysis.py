@@ -127,28 +127,23 @@ def tilting_lemma_check(a: float, b: float, c: float, z: float,
     draws = check_count("draws", draws, 2)
 
     rng = np.random.default_rng(seed)
-    ws = gamma_sample(w, rng, draws)
-    ys = gamma_sample(y, rng, draws)
-    zs = gamma_sample(zz, rng, draws)
-    vals = np.abs(a * ws + b * ys - c * zs) * np.exp(-z * (ws + ys + zs))
+    pops = (w, y, zz)
+    plain = [gamma_sample(p, rng, draws) for p in pops]  # every plain draw precedes the tilted ones
+    mix = tilted_mix = total = log_lap = moment_sum = 0.0
+    for k, signed, p, x in zip((a, b, c), (a, b, -c), pops, plain):
+        tilted = GammaParams(p.alpha, p.beta + z)
+        mix += signed * x
+        total += x
+        log_lap += p.alpha * (math.log(p.beta) - math.log(tilted.beta))
+        moment_sum += k * (p.alpha / tilted.beta)
+        tilted_mix += signed * gamma_sample(tilted, rng, draws)
+    vals = np.abs(mix) * np.exp(-z * total)
     lhs = float(vals.mean())
     lhs_se = float(vals.std(ddof=1) / math.sqrt(draws))
-
-    lap = math.exp(w.alpha * (math.log(w.beta) - math.log(w.beta + z))
-                   + y.alpha * (math.log(y.beta) - math.log(y.beta + z))
-                   + zz.alpha * (math.log(zz.beta) - math.log(zz.beta + z)))
-    mw = w.alpha / (w.beta + z)
-    my = y.alpha / (y.beta + z)
-    mz = zz.alpha / (zz.beta + z)
-
-    wt = gamma_sample(GammaParams(w.alpha, w.beta + z), rng, draws)
-    yt = gamma_sample(GammaParams(y.alpha, y.beta + z), rng, draws)
-    zt = gamma_sample(GammaParams(zz.alpha, zz.beta + z), rng, draws)
-    diffs = np.abs(a * wt + b * yt - c * zt)
+    lap = math.exp(log_lap)
+    diffs = np.abs(tilted_mix)
     mean_abs = float(diffs.mean())
     se_abs = float(diffs.std(ddof=1) / math.sqrt(draws))
-
-    moment_sum = a * mw + b * my + c * mz
     nmad = mean_abs / moment_sum if moment_sum > 0.0 else 0.0
     rhs = lap * moment_sum * nmad
     rhs_se = lap * se_abs

@@ -1,9 +1,12 @@
 """Plug-in estimators of the bridging index from a sample.
 
 The reference estimator averages |(1-lam)(Xi - Xbar) + lam(Xi - Xj)| over
-all ordered pairs i != j and normalizes by 2 n (n-1) Xbar.  A sort-based
-O(n log n) fast path computes the same value.  Samples that are entirely
-zero yield 0 by convention rather than an error.
+all ordered pairs i != j and normalizes by 2 n (n-1) Xbar; i_hat sums
+those pairs directly at interior weights.  One sort-based O(n log n) core
+computes every other estimate: i_hat_fast at any weight, and the Hoover
+(lam = 0) and Gini (lam = 1) estimates, which h_hat, g_hat and both
+endpoints of i_hat and i_hat_fast all take from its one arithmetic.
+Samples that are entirely zero yield 0 by convention rather than an error.
 
 Every estimator takes one sample (a 1-D array), which gives a float, or an
 (R, n) array of R samples, which gives one estimate per row in one pass
@@ -81,21 +84,6 @@ def _row_fsums(a: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(flat[i:i + n]) for i in range(0, len(flat), n)])
 
 
-def _abs_dev_sums(x: np.ndarray, xbar: np.ndarray) -> np.ndarray:
-    return _row_fsums(np.abs(x - xbar[:, None]))
-
-
-def _hoover(x, n, xbar):
-    return _abs_dev_sums(x, xbar) / (2.0 * n * xbar)
-
-
-def _gini(x, n, xbar, presorted=False):
-    xs = x if presorted else np.sort(x, axis=1)
-    # sum_{i<j} |Xi - Xj| = sum_k (2k - n + 1) * x_(k) over the sorted sample
-    pair_sum = _row_fsums((2.0 * np.arange(n) - (n - 1)) * xs)
-    return pair_sum / (n * (n - 1) * xbar)
-
-
 def _pairs_quadratic(x, n, xbar, lam):
     a = x - (1.0 - lam) * xbar[:, None]
     terms = np.abs(a[:, :, None] - lam * x[:, None, :])
@@ -112,7 +100,7 @@ def _pairs_sorted(x, n, xbar, lams):
     xs = np.sort(x, axis=1)
     prefix = np.zeros((len(x), n + 1))
     np.cumsum(xs, axis=1, out=prefix[:, 1:])
-    dev = _abs_dev_sums(x, xbar)
+    dev = _row_fsums(np.abs(x - xbar[:, None]))  # sum |Xi - Xbar|
     est = np.empty((len(x), len(weights)))
     starts = np.arange(0, prefix.size, n + 1)[:, None]  # each row's offset in prefix.ravel()
     # each row is its sorted sample, then its sorted splits: a stable sort puts a
@@ -123,8 +111,9 @@ def _pairs_sorted(x, n, xbar, lams):
     lands = np.arange(0, merged.size, 2 * n)[:, None] + np.arange(n)
     for j, lam in enumerate(weights):
         if lam == 0.0 or lam == 1.0:
-            # the Hoover and Gini arithmetic, so I_0 = H and I_1 = G hold exactly
-            est[:, j] = dev / (2.0 * n * xbar) if lam == 0.0 else _gini(xs, n, xbar, True)
+            # Hoover, or Gini: sum_{i<j} |Xi - Xj| = sum_k (2k - n + 1) x_(k) over the sorted sample
+            est[:, j] = (dev / (2.0 * n * xbar) if lam == 0.0 else
+                         _row_fsums((2.0 * np.arange(n) - (n - 1)) * xs) / (n * (n - 1) * xbar))
             continue
         # the terms run over the sorted sample: math.fsum is correctly rounded,
         # so their order leaves the sum as it is, and the splits come out sorted
@@ -141,24 +130,21 @@ def _pairs_sorted(x, n, xbar, lams):
 
 def h_hat(values) -> float:
     """Hoover estimator: sum |Xi - Xbar| / (2 n Xbar)."""
-    return _estimate(_hoover, values, 1)
+    return _estimate(_pairs_sorted, values, 1, 0.0)
 
 
 def g_hat(values) -> float:
     """Gini estimator with the unbiased-style n(n-1) pair count."""
-    return _estimate(_gini, values, 2)
+    return _estimate(_pairs_sorted, values, 2, 1.0)
 
 
 def i_hat(values, lam: float) -> float:
     """Quadratic reference evaluation of the plug-in index estimator.
 
-    The lam = 0 and lam = 1 endpoints equal h_hat and g_hat exactly,
-    summation order included.
+    The lam = 0 and lam = 1 endpoints are h_hat and g_hat: the same core.
     """
     lam = check_lambda(lam)
-    if lam == 0.0 or lam == 1.0:
-        return _estimate(_gini if lam else _hoover, values, 2)
-    return _estimate(_pairs_quadratic, values, 2, lam)
+    return _estimate(_pairs_sorted if lam in (0.0, 1.0) else _pairs_quadratic, values, 2, lam)
 
 
 def i_hat_fast(values, lam):

@@ -8,17 +8,17 @@ and not on the order in which replications or scenarios run.  r sits in
 the counter's top word, 2^192 blocks away from the next stream.  The truth
 is the gamma closed form, computed once per scenario.
 
-The estimators see the replications in blocks: the samples of max(1, 4096
-// n) consecutive replications are stacked as the rows of one (R, n) array,
-and each estimator makes one pass over the block, so a call's fixed cost is
-shared by about 4,096 sample values instead of paid per replication.  Each
-row's estimate equals the estimate of that sample alone, bit for bit.
-A scenario is drawn and estimated in one pass, memoized by its config: one
-estimator call per block with the weights (lam, 0, 1) sorts each sample once
-for the I, H and G estimates.  Its summary carries the bias of the bridging
-estimator and `bias_j`, the bias of the convex-combination estimator
-(1-lam)*H_hat + lam*G_hat against (1-lam)*H + lam*G, which `compare_i_vs_j`
-and `format_table(..., compare_j=True)` read.
+One loop, in _scenario, draws and estimates a scenario, memoized by its
+config.  It stacks the samples of max(1, 4096 // n) consecutive
+replications as the rows of one (R, n) block and makes one estimator call
+per block with the weights (lam, 0, 1), which sorts each sample once for
+the I, H and G estimates, so a call's fixed cost is shared by about 4,096
+sample values instead of paid per replication.  Each row's estimate equals
+the estimate of that sample alone, bit for bit.  The summary carries the
+bias of the bridging estimator and `bias_j`, the bias of the
+convex-combination estimator (1-lam)*H_hat + lam*G_hat against
+(1-lam)*H + lam*G, which `compare_i_vs_j` and
+`format_table(..., compare_j=True)` read.
 """
 
 from __future__ import annotations
@@ -118,36 +118,22 @@ def _sampler(config: SimConfig):
     return draw
 
 
-def _replication_sample(config: SimConfig, r: int) -> np.ndarray:
-    """Sample of replication r, the same as row r of a block."""
-    return _sampler(config)(r)
-
-
-def _replicate(config: SimConfig, estimate) -> np.ndarray:
-    """estimate(block) over the replications in order, where each block stacks
-    the samples of max(1, _BLOCK_VALUES // n) replications (fewer in the last)
-    as the rows of an (R, n) array and estimate returns one value per row, or a
-    (k, R) array of k values per row; the results are joined along their last
-    axis."""
-    draw = _sampler(config)
-    rows = max(1, _BLOCK_VALUES // config.n)
-    out = []
-    for first in range(0, config.reps, rows):
-        block = np.empty((min(rows, config.reps - first), config.n))
-        for i in range(len(block)):
-            block[i] = draw(first + i)
-        out.append(estimate(block))
-    return np.concatenate(out, axis=-1)
-
-
 @lru_cache(maxsize=None)
 def _scenario(config: SimConfig) -> SimSummary:
     """Summary of the bridging estimates and bias of the J estimates, in one pass."""
     lam = config.lam
     truth = _cached_truth(config.alpha, lam)
     truth_j = j_index(gamma_hoover(config.alpha), gamma_gini(config.alpha), lam)
-    # one call per block gives I, H and G; each column equals the scalar call bit for bit
-    est_i, h, g = _replicate(config, lambda x: i_hat_fast(x, [lam, 0.0, 1.0]).T)
+    draw = _sampler(config)
+    rows = max(1, _BLOCK_VALUES // config.n)
+    est = []
+    for first in range(0, config.reps, rows):
+        block = np.empty((min(rows, config.reps - first), config.n))
+        for i in range(len(block)):
+            block[i] = draw(first + i)
+        # one call per block gives I, H and G; each column equals the scalar call bit for bit
+        est.append(i_hat_fast(block, [lam, 0.0, 1.0]))
+    est_i, h, g = np.concatenate(est).T
     bias_j = math.fsum(((1.0 - lam) * h + lam * g).tolist()) / config.reps - truth_j
     return SimSummary(config, truth, *summarize(est_i, truth), bias_j)
 

@@ -196,19 +196,33 @@ def mp_beta_expect(a: float, b: float, f) -> mp.mpf:
     On [0, 1/2] it integrates in u = B^a and on [1/2, 1] in v = (1 - B)^b,
     where the density's end singularities B^(a-1) and (1 - B)^(b-1) become
     the constants 1/a and 1/b; 1 - B is passed exactly, as v^(1/b), near 1.
+    Two things keep large shapes exact.  The integrands carry 1/B(a, b), so
+    they are densities: mp.quad stops at an absolute error of 10^-dps, and
+    unnormalized integrals of ~B(a, b) (1e-31 at a = b = 50) stopped early.
+    Both ranges are split at the Beta's mean + k sd, k = -10..10, mapped into
+    u and v, where the substitutions squeeze the bulk into the top of the
+    range.  At 30 digits E|2B - 1| for Beta(alpha, alpha) is within 1e-25
+    relative of its closed form for alpha from 5 to 1e3, and 5e-6 off at
+    1e4.  With neither it was 5.5e-10 off at alpha = 50; without the splits
+    1.7e-10 off at 200 and 3e-3 at 1e3.
     """
     a, b = mp.mpf(a), mp.mpf(b)
     half = mp.mpf(1) / 2
+    norm = mp.beta(a, b)
+    mean, sd = a / (a + b), mp.sqrt(a * b / (a + b + 1)) / (a + b)
+    cuts = [mean + k * sd for k in range(-10, 11)]
+    lower_cuts = [0] + sorted(x ** a for x in cuts if 0 < x < half) + [half ** a]
+    upper_cuts = [0] + sorted((1 - x) ** b for x in cuts if half < x < 1) + [half ** b]
 
     def lower(u):
         x = u ** (1 / a)
-        return (1 - x) ** (b - 1) * f(x, 1 - x)
+        return (1 - x) ** (b - 1) * f(x, 1 - x) / (a * norm)
 
     def upper(v):
         y = v ** (1 / b)
-        return (1 - y) ** (a - 1) * f(1 - y, y)
+        return (1 - y) ** (a - 1) * f(1 - y, y) / (b * norm)
 
-    return (mp.quad(lower, [0, half ** a]) / a + mp.quad(upper, [0, half ** b]) / b) / mp.beta(a, b)
+    return mp.quad(lower, lower_cuts) + mp.quad(upper, upper_cuts)
 
 
 def mp_expected_i_hat(alpha: float, lam: float, n: int, dps: int = 25) -> float:

@@ -54,10 +54,11 @@ class TestExpectedIHat:
         # n = 2: (1 + lam)/2 times the Gini coefficient, 0.375 at shape 2
         assert expected_i_hat(BiasQuery(alpha=2.0, lam=0.5, n=2)) == pytest.approx(0.28125, abs=1e-6)
 
-    @pytest.mark.parametrize("alpha, lam", [(1e-3, 0.0), (0.5, 0.3), (2.0, 0.9), (20.0, 0.5)])
+    @pytest.mark.parametrize("alpha, lam", [(1e-3, 0.0), (0.5, 0.3), (2.0, 0.9), (20.0, 0.5),
+                                            (50.0, 0.2), (200.0, 0.7), (1e3, 0.5)])
     def test_pair_is_a_multiple_of_the_gini_estimator(self, alpha, lam):
         # at n = 2 the estimator is (1+lam)/2 |X1 - X2|/(X1 + X2), and B = X1/(X1 + X2) is
-        # Beta(alpha, alpha); mp_beta_expect's substitutions lose digits past alpha ~ 20
+        # Beta(alpha, alpha)
         with mp.workdps(30):
             oracle = (1 + mp.mpf(lam)) / 2 * mp_beta_expect(alpha, alpha, lambda b, omb: abs(b - omb))
         got = expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=2))
@@ -99,6 +100,18 @@ class TestExpectedIHat:
         # must be scaled by it
         got = expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n))
         assert abs(got - mp_expected_i_hat(alpha, lam, n)) <= 1e-10
+
+
+class TestBetaOracle:
+    @pytest.mark.parametrize("alpha", [5.0, 20.0, 50.0, 200.0])
+    def test_against_closed_form(self, alpha):
+        # E|2B - 1| = Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha + 1)) for B ~ Beta(alpha, alpha);
+        # an unnormalized, unsplit quadrature was 5.5e-10 relative off at alpha = 50
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            exact = mp.gamma(a + mp.mpf(1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(a + 1))
+            got = mp_beta_expect(alpha, alpha, lambda b, omb: abs(b - omb))
+            assert abs(got / exact - 1) <= mp.mpf("1e-24")
 
 
 class TestExpectedHHat:

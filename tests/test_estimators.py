@@ -99,6 +99,13 @@ class TestHooverGiniHats:
             pair_sum = math.fsum((2 * i - n + 1) * xs[i] for i in range(n))
             assert g_hat(x) == pair_sum / (n * (n - 1) * (math.fsum(x.tolist()) / n))
 
+    def test_h_hat_on_one_observation(self):
+        # no pairs, but one deviation sum: |X1 - X1| = 0, or a zero mean, gives exactly 0
+        assert h_hat([3.0]) == 0.0
+        assert h_hat([0.0]) == 0.0
+        block = np.array([[3.0], [0.0], [1e-300], [7.5]])
+        assert h_hat(block).tolist() == [0.0] * 4
+
     def test_g_hat_needs_pairs(self):
         with pytest.raises(ValueError):
             g_hat([1.0])

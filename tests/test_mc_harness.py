@@ -21,6 +21,7 @@ from ineqbridge import (
     j_index,
     run_grid,
     run_scenario,
+    specfun,
     summarize,
     write_csv,
 )
@@ -102,23 +103,21 @@ class TestStreams:
         for r in (0, 1, 9, 2 ** 40):
             rng = np.random.Generator(np.random.Philox(key=c.seed, counter=[0, 0, 0, r]))
             expected = gamma_sample(GammaParams(c.alpha, 1.0), rng, c.n)
-            assert mc._replication_sample(c, r).tolist() == expected.tolist()
+            assert mc._sampler(c)(r).tolist() == expected.tolist()
 
     def test_independent_of_replication_order(self):
         c = SimConfig(alpha=2.0, lam=0.5, n=9, reps=70, seed=5)
-        forward = [mc._replication_sample(c, r) for r in range(c.reps)]
+        forward = [mc._sampler(c)(r) for r in range(c.reps)]
         draw = mc._sampler(c)  # one generator, reset after each earlier draw
         backward = [draw(r) for r in reversed(range(c.reps))]
-        rows = mc._replicate(c, lambda block: block.T)
         assert np.array_equal(np.array(forward), np.array(backward[::-1]))
-        assert np.array_equal(np.array(forward), rows.T)
 
     def test_seeds_and_replications_differ(self):
         c = SimConfig(alpha=2.0, lam=0.5, n=9, reps=2, seed=5)
         other = SimConfig(alpha=2.0, lam=0.5, n=9, reps=2, seed=6)
-        x = mc._replication_sample(c, 0)
-        assert not np.array_equal(x, mc._replication_sample(other, 0))
-        assert not np.array_equal(x, mc._replication_sample(c, 1))
+        x = mc._sampler(c)(0)
+        assert not np.array_equal(x, mc._sampler(other)(0))
+        assert not np.array_equal(x, mc._sampler(c)(1))
 
 
 class TestBlocks:
@@ -126,7 +125,7 @@ class TestBlocks:
     def test_equals_one_replication_at_a_time(self, reps):
         # at n = 64 a block holds 4096 // 64 = 64 rows, so these counts sit at its edges
         c = SimConfig(alpha=0.5, lam=0.3, n=64, reps=reps, seed=17)
-        samples = [mc._replication_sample(c, r) for r in range(reps)]
+        samples = [mc._sampler(c)(r) for r in range(reps)]
         est_i = [i_hat_fast(x, c.lam) for x in samples]
         est_j = [(1.0 - c.lam) * h_hat(x) + c.lam * g_hat(x) for x in samples]
         truth_i = gamma_index(c.alpha, c.lam)
@@ -220,6 +219,22 @@ class TestCompare:
         assert mc._scenario(c) == memoized  # a fresh pass, bit for bit
         assert run_scenario(c) == memoized
         assert compare_i_vs_j(c) == (memoized.bias, memoized.bias_j)
+
+    @pytest.mark.parametrize("alpha, lam, n, seed", [
+        (0.5, 0.25, 10, 3101), (1.0, 0.0, 40, 3102), (2.0, 0.5, 120, 3103),
+        (5.0, 0.75, 40, 3104), (10.0, 0.5, 10, 3105),
+    ])
+    def test_bias_j_matches_hoover_closed_form(self, alpha, lam, n, seed):
+        # J_hat = (1-lam) H_hat + lam G_hat and G_hat is unbiased, so E[J_hat] - J is
+        # (1-lam)(E[H_hat] - H) = (1-lam) e^D(alpha)/alpha (e^(D((n-1) alpha) - D(n alpha)) - 1),
+        # D the Stirling defect; each cell has its own seed, so the z-scores are independent
+        c = SimConfig(alpha=alpha, lam=lam, n=n, reps=4000, seed=seed)
+        d = specfun._stirling_defect
+        exact = (1.0 - lam) * math.exp(d(alpha)) / alpha * math.expm1(d((n - 1) * alpha) - d(n * alpha))
+        draw = mc._sampler(c)
+        block = np.array([draw(r) for r in range(c.reps)])
+        se = np.std((1.0 - lam) * h_hat(block) + lam * g_hat(block), ddof=1) / math.sqrt(c.reps)
+        assert abs(run_scenario(c).bias_j - exact) <= 4.0 * se
 
     def test_interior_biases_finite_and_small(self):
         bi, bj = compare_i_vs_j(SimConfig(alpha=5.0, lam=0.5, n=80, reps=1000, seed=44))
