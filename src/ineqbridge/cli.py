@@ -197,8 +197,9 @@ def _cmd_estimate(args) -> int:
         lambdas = sorted(_float_list(args.lambdas))
         values = np.array(_read_column(args.input, args.column, args.quiet), dtype=float)
         grid = [] if args.path is None else lambda_grid(args.path)
-        # one call sorts and sums the sample once for the rows and the path; its
-        # trailing 0 and 1 entries equal h_hat and g_hat bit for bit
+        # one call sorts and sums the sample once for the rows and the path, and
+        # runs each distinct weight once (the path repeats the rows' weights, 0
+        # and 1); its trailing 0 and 1 entries equal h_hat and g_hat bit for bit
         *estimates, hoover, gini = i_hat_fast(values, lambdas + grid + [0.0, 1.0]).tolist()
         rows = [("Hoover", hoover)] + [(f"I_{lam:g}", v) for lam, v in zip(lambdas, estimates)]
         rows.append(("Gini", gini))

@@ -15,12 +15,15 @@ row: the same element-wise arithmetic and the same fsum of each row.
 i_hat_fast also takes a 1-D sequence of weights and then sorts and sums each
 sample once for all of them, every entry bit-identical to the scalar call.
 
-Sums are accumulated with error-free transformations (math.fsum), which
-keeps mixed-magnitude samples honest at the 1e-12 level; each row is summed
-from a memoryview slice of the block, not from a list of its elements.  Per
-weight, i_hat_fast counts the sorted values <= each split a_i/lam by one
-stable argsort of the whole block, each row its sorted values followed by its
-sorted splits, not by one searchsorted per row.
+Every sum over a sample is exact and then correctly rounded: each row's
+result equals math.fsum of that row bit for bit, which keeps mixed-magnitude
+samples honest at the 1e-12 level.  Two vectorized error-free extraction
+passes over the whole block (Rump, Ogita & Oishi 2008) give it; only a row
+left with remainders, or out of the passes' exponent range, reaches math.fsum
+itself.  i_hat_fast computes each distinct weight once, and per weight counts
+the sorted values <= each split a_i/lam by one stable argsort of the whole
+block, each row its sorted values followed by its sorted splits, not by one
+searchsorted per row.
 """
 
 from __future__ import annotations
@@ -77,11 +80,33 @@ def _estimate(core, values, min_n: int, *args):
 
 
 def _row_fsums(a: np.ndarray) -> np.ndarray:
-    # fsum of each row's slice of one flat memoryview: a 1-D call's doubles in its
-    # order, with no list of floats (.ravel(), as .cast raises on an empty block)
+    # math.fsum of each row, bit for bit, from two extraction passes over the block
+    # (Rump, Ogita & Oishi 2008, "Accurate floating-point summation, part I").  A
+    # pass sets sigma = 2**k per row, with max|p| < 2**(k - m) and 2**m >= n + 2:
+    # then q = (sigma + p) - sigma and p - q are exact, and each q is a multiple of
+    # 2**(k - 53) no larger than 2**(k - m), so a row's sum of q is exact in any
+    # order.  A row whose remainders are all 0 after two passes is t1 + t2, and one
+    # IEEE add rounds that as fsum does.  Any other row goes to fsum: of t1, t2 and
+    # its remainders, or of the row itself where sigma would overflow or its
+    # half-ulp be subnormal, so an overflowing sum raises OverflowError as before.
     n = a.shape[1]
-    flat = memoryview(np.ascontiguousarray(a).ravel())
-    return np.array([math.fsum(flat[i:i + n]) for i in range(0, len(flat), n)])
+    m = (n + 1).bit_length()
+    q, rest = np.empty(a.shape), np.empty(a.shape)
+    p, parts, ok = a, [], np.ones(len(a), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # only in rows that fail ok
+        for _ in range(2):
+            k = np.frexp(np.max(np.abs(p, out=q), axis=1, initial=0.0))[1] + m
+            ok &= (k >= -969) & (k <= 1023)
+            sigma = np.ldexp(1.0, k)[:, None]
+            np.add(sigma, p, out=q)
+            q -= sigma
+            parts.append(q.sum(axis=1))
+            p = np.subtract(p, q, out=rest)
+    t1, t2 = parts
+    out = t1 + t2
+    for i in np.flatnonzero(~ok | (p != 0.0).any(axis=1)):
+        out[i] = math.fsum([t1[i], t2[i], *p[i][p[i] != 0.0].tolist()] if ok[i] else a[i].tolist())
+    return out
 
 
 def _pairs_quadratic(x, n, xbar, lam):
@@ -94,37 +119,46 @@ def _pairs_quadratic(x, n, xbar, lam):
 
 
 def _pairs_sorted(x, n, xbar, lams):
-    # (R, L) estimates at the list lams, (R,) at one float; the work every
-    # weight shares runs once per block, then one weight's (R, n) arrays at a time
+    # (R, L) estimates at the list lams, (R,) at one float.  Each distinct weight
+    # runs once and its column is copied to the repeats; each array the weights
+    # share is built once per block, and only if a weight needs it: Hoover the
+    # deviations, Gini the sort, an interior weight all of them
     weights = lams if isinstance(lams, list) else [lams]
-    xs = np.sort(x, axis=1)
-    prefix = np.zeros((len(x), n + 1))
-    np.cumsum(xs, axis=1, out=prefix[:, 1:])
-    dev = _row_fsums(np.abs(x - xbar[:, None]))  # sum |Xi - Xbar|
+    distinct = list(dict.fromkeys(weights))
+    interior = [lam for lam in distinct if lam not in (0.0, 1.0)]
+    if interior or 0.0 in distinct:
+        dev = _row_fsums(np.abs(x - xbar[:, None]))  # sum |Xi - Xbar|
+    if interior or 1.0 in distinct:
+        xs = np.sort(x, axis=1)
+    if interior:
+        prefix = np.zeros((len(x), n + 1))
+        np.cumsum(xs, axis=1, out=prefix[:, 1:])
+        starts = np.arange(0, prefix.size, n + 1)[:, None]  # each row's offset in prefix.ravel()
+        # each row is its sorted sample, then its sorted splits: a stable sort puts a
+        # value equal to a split before it, so split j lands at k_j + j, where k_j
+        # counts the values <= split j, the count searchsorted(side="right") gives
+        merged = np.empty((len(x), 2 * n))
+        merged[:, :n] = xs
+        lands = np.arange(0, merged.size, 2 * n)[:, None] + np.arange(n)
     est = np.empty((len(x), len(weights)))
-    starts = np.arange(0, prefix.size, n + 1)[:, None]  # each row's offset in prefix.ravel()
-    # each row is its sorted sample, then its sorted splits: a stable sort puts a
-    # value equal to a split before it, so split j lands at k_j + j, where k_j
-    # counts the values <= split j, the count searchsorted(side="right") gives
-    merged = np.empty((len(x), 2 * n))
-    merged[:, :n] = xs
-    lands = np.arange(0, merged.size, 2 * n)[:, None] + np.arange(n)
-    for j, lam in enumerate(weights):
-        if lam == 0.0 or lam == 1.0:
-            # Hoover, or Gini: sum_{i<j} |Xi - Xj| = sum_k (2k - n + 1) x_(k) over the sorted sample
-            est[:, j] = (dev / (2.0 * n * xbar) if lam == 0.0 else
-                         _row_fsums((2.0 * np.arange(n) - (n - 1)) * xs) / (n * (n - 1) * xbar))
-            continue
-        # the terms run over the sorted sample: math.fsum is correctly rounded,
-        # so their order leaves the sum as it is, and the splits come out sorted
-        a = xs - (1.0 - lam) * xbar[:, None]
-        with np.errstate(over="ignore"):
-            np.divide(a, lam, out=merged[:, n:])  # +-inf is a legitimate split when lam is tiny
-        order = np.argsort(merged, axis=1, kind="stable")
-        k = np.flatnonzero(order >= n).reshape(x.shape) - lands
-        below = prefix.ravel()[starts + k]  # prefix[k], the sum of the sorted values <= split
-        inner = a * (2 * k - n) + lam * (prefix[:, n:] - 2.0 * below)
-        est[:, j] = (_row_fsums(inner) - (1.0 - lam) * dev) / (2.0 * n * (n - 1) * xbar)
+    for lam in distinct:
+        if lam == 0.0:
+            column = dev / (2.0 * n * xbar)
+        elif lam == 1.0:
+            # Gini: sum_{i<j} |Xi - Xj| = sum_k (2k - n + 1) x_(k) over the sorted sample
+            column = _row_fsums((2.0 * np.arange(n) - (n - 1)) * xs) / (n * (n - 1) * xbar)
+        else:
+            # the terms run over the sorted sample: every row sum is correctly
+            # rounded, so their order leaves it as it is, and the splits come out sorted
+            a = xs - (1.0 - lam) * xbar[:, None]
+            with np.errstate(over="ignore"):
+                np.divide(a, lam, out=merged[:, n:])  # +-inf is a legitimate split when lam is tiny
+            order = np.argsort(merged, axis=1, kind="stable")
+            k = np.flatnonzero(order >= n).reshape(x.shape) - lands
+            below = prefix.ravel()[starts + k]  # prefix[k], the sum of the sorted values <= split
+            inner = a * (2 * k - n) + lam * (prefix[:, n:] - 2.0 * below)
+            column = (_row_fsums(inner) - (1.0 - lam) * dev) / (2.0 * n * (n - 1) * xbar)
+        est[:, [j for j, w in enumerate(weights) if w == lam]] = column[:, None]
     return est if weights is lams else est[:, 0]
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ineqbridge import (
     i_hat_fast,
     summarize,
 )
+from ineqbridge import estimators
 from ineqbridge.estimators import _row_fsums
 from ineqbridge._checks import check_lambda
 
@@ -306,6 +308,166 @@ class TestPerRowRoute:
 
     def test_row_sums_of_an_empty_block(self):
         assert _row_fsums(np.empty((0, 5))).shape == (0,)
+
+
+def fsum_bits(block) -> list[int]:
+    """math.fsum of each row on this interpreter, as the bits of the double."""
+    return np.array([math.fsum(row) for row in block.tolist()], dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def float_blocks(draw):
+    """(R, n) blocks of arbitrary finite doubles: subnormals, -0.0, 1e308."""
+    r, n = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    cell = st.floats(allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=r, max_size=r)))
+
+
+class TestRowSums:
+    """The extraction kernel against math.fsum, row by row and bit for bit,
+    on both sides of each of its switches."""
+
+    @pytest.fixture
+    def fsum_calls(self, monkeypatch):
+        # what the kernel hands to math.fsum: the rows that leave its fast path
+        calls = []
+
+        def fsum(values):
+            calls.append(list(values))
+            return math.fsum(calls[-1])
+        monkeypatch.setattr(estimators, "math", types.SimpleNamespace(fsum=fsum))
+        return calls
+
+    def assert_fsum_bits(self, block):
+        block = np.asarray(block, dtype=float)
+        got = _row_fsums(block)
+        assert got.shape == (len(block),)
+        assert got.view(np.int64).tolist() == fsum_bits(block)
+
+    def test_exact_after_two_passes(self, fsum_calls):
+        rng = np.random.default_rng(31)
+        block = rng.gamma(2.0, size=(409, 10))
+        self.assert_fsum_bits(block)
+        self.assert_fsum_bits(np.abs(block - block.mean(axis=1, keepdims=True)))
+        assert fsum_calls == []
+
+    def test_leftovers_go_to_fsum_of_the_parts(self, fsum_calls):
+        # a wide exponent spread leaves remainders below the second pass's grid
+        row = np.ldexp(np.random.default_rng(32).uniform(0.5, 1.0, 40), np.arange(-100, 100, 5))
+        self.assert_fsum_bits(row[None, :])
+        assert len(fsum_calls) == 1 and 2 < len(fsum_calls[0]) < len(row) + 2
+        assert math.fsum(fsum_calls[0]) == math.fsum(row.tolist())
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50_000])
+    def test_sizes(self, n):
+        rng = np.random.default_rng(33)
+        for r in ((1, 3) if n > 10 else (1, 409)):
+            self.assert_fsum_bits(rng.lognormal(0.0, 5.0, size=(r, n)) * rng.choice([-1.0, 1.0], size=(r, n)))
+
+    def test_empty_block(self):
+        self.assert_fsum_bits(np.empty((0, 10)))
+
+    def test_seeded_spreads(self):
+        # normals, +-lognormal(0, 5), exponents from -1070 to 1000, subnormals
+        rng = np.random.default_rng(34)
+        for n in (1, 2, 3, 10, 120, 4096):
+            r = max(1, 4096 // n)
+            sign = rng.choice([-1.0, 1.0], size=(r, n))
+            for block in (rng.normal(size=(r, n)),
+                          sign * rng.lognormal(0.0, 5.0, size=(r, n)),
+                          sign * np.ldexp(rng.uniform(0.5, 1.0, (r, n)), rng.integers(-1070, 1000, (r, n))),
+                          sign * np.ldexp(rng.uniform(0.5, 1.0, (r, n)), rng.integers(-1074, -1000, (r, n)))):
+                self.assert_fsum_bits(block)
+
+    def test_cancellation_to_zero(self):
+        x = np.random.default_rng(35).lognormal(0.0, 3.0, size=(6, 20))
+        block = np.concatenate([x, -x[:, ::-1]], axis=1)
+        block[5] = -0.0
+        self.assert_fsum_bits(block)
+        assert _row_fsums(block).view(np.int64).tolist() == [0] * 6  # +0.0, as fsum gives
+        self.assert_fsum_bits([[5e-324, -5e-324], [1e308, -1e308], [-0.0, 0.0]])
+
+    def test_overflow_guard(self, fsum_calls):
+        # n = 2 sums with sigma = 2**(e + 2): 2**1021 has e = 1022 and is summed by
+        # fsum, its predecessor has e = 1021 and sigma = 2**1023, the largest power
+        top = 2.0 ** 1021
+        below = np.nextafter(top, 0.0)
+        self.assert_fsum_bits([[below, below], [below, -below / 3]])
+        assert fsum_calls == []
+        self.assert_fsum_bits([[top, top], [top, -top / 3]])
+        assert fsum_calls == [[top, top], [top, -top / 3]]
+
+    def test_overflowing_sum_raises(self):
+        for row in ([1.7e308, 1.7e308], [1.7e308, 1e308, -1e308]):  # the second overflows inside fsum
+            with pytest.raises(OverflowError):
+                math.fsum(row)
+            with pytest.raises(OverflowError):
+                _row_fsums(np.array([[1.0] * len(row), row]))
+        with pytest.raises(ValueError, match="^sample values too large"):
+            i_hat_fast(np.array([[2.0 ** 1021, 2.0 ** 1020], [1.7e308, 1.7e308]]), [0.0, 0.5, 1.0])
+        assert np.isfinite(i_hat_fast([2.0 ** 1021, 2.0 ** 1020], [0.0, 0.5, 1.0])).all()
+
+    def test_subnormal_guard(self, fsum_calls):
+        # sigma = 2**k needs a normal half-ulp 2**(k - 53): k >= -969, and n = 2 has
+        # k = e + 2, so 2**-972 (e = -971) stays on the fast path and 2**-973 does not
+        self.assert_fsum_bits([[2.0 ** -972, 2.0 ** -972], [2.0 ** -972, -3 * 2.0 ** -975]])
+        assert fsum_calls == []
+        self.assert_fsum_bits([[2.0 ** -973, 2.0 ** -973]])
+        assert fsum_calls == [[2.0 ** -973, 2.0 ** -973]]
+        # the second pass: x = (1 - 2**-53) 2**e leaves the remainder -2**(e - 53),
+        # so its k is e - 50, on the fast path at e = -919 and not at e = -920
+        del fsum_calls[:]
+        x = np.nextafter(2.0 ** -919, 0.0)
+        self.assert_fsum_bits([[x, x]])
+        assert fsum_calls == []
+        x = np.nextafter(2.0 ** -920, 0.0)
+        self.assert_fsum_bits([[x, x]])
+        assert fsum_calls == [[x, x]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_blocks())
+    def test_arbitrary_finite_rows(self, block):
+        try:
+            want = fsum_bits(block)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _row_fsums(block)
+            return
+        assert _row_fsums(block).view(np.int64).tolist() == want
+
+
+class TestRepeatedWeights:
+    LAMS = [0.5, 0.0, 0.5, 1.0, 0.0]
+
+    @pytest.fixture
+    def row_sums(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return _row_fsums(a)
+        monkeypatch.setattr(estimators, "_row_fsums", counted)
+        return calls
+
+    def test_equal_to_scalar_calls(self):
+        rng = np.random.default_rng(41)
+        for x in (rng.gamma(0.7, size=300), rng.gamma(0.7, size=(7, 300))):
+            got = np.asarray(i_hat_fast(x, self.LAMS))
+            want = np.array([[i_hat_fast(row, lam) for lam in self.LAMS] for row in np.atleast_2d(x)])
+            assert got.reshape(want.shape).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_each_distinct_weight_is_summed_once(self, row_sums):
+        # the mean, the deviations, the one interior weight and Gini
+        i_hat_fast(np.random.default_rng(42).gamma(2.0, size=(7, 50)), self.LAMS)
+        assert row_sums == [(7, 50)] * 4
+
+    def test_endpoints_build_only_what_they_need(self, row_sums):
+        # Hoover sums the deviations and Gini its ranks: one row sum each after the mean
+        x = np.random.default_rng(43).gamma(2.0, size=50)
+        h_hat(x)
+        g_hat(x)
+        i_hat_fast(x, [0.0, 1.0])
+        assert row_sums == [(1, 50)] * 7
 
 
 class TestSummarize:
