@@ -32,12 +32,8 @@ from .mc_harness import (
 )
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+def _number_list(text: str, kind: type) -> list:
+    return [kind(part) for part in text.split(",") if part.strip() != ""]
 
 
 def _digits(text: str) -> int:
@@ -194,7 +190,7 @@ def _cmd_estimate(args) -> int:
     try:
         if args.svg and args.path is None:
             raise ValueError("--svg requires --path")
-        lambdas = sorted(_float_list(args.lambdas))
+        lambdas = sorted(_number_list(args.lambdas, float))
         values = np.array(_read_column(args.input, args.column, args.quiet), dtype=float)
         grid = [] if args.path is None else lambda_grid(args.path)
         # one call sorts and sums the sample once for the rows and the path, and
@@ -242,9 +238,9 @@ def _cmd_bias(args) -> int:
 
 def _cmd_simulate(args) -> int:
     try:
-        alphas = _float_list(args.alpha)
-        lams = _float_list(args.lam)
-        ns = _int_list(args.n)
+        alphas = _number_list(args.alpha, float)
+        lams = _number_list(args.lam, float)
+        ns = _number_list(args.n, int)
         if not alphas or not lams or not ns:
             raise ValueError("alpha, lambda, and n lists must be non-empty")
         grid = []

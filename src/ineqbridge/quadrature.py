@@ -24,16 +24,17 @@ DEFAULT_ABS_TOL = 1e-11
 REL_TOL = 1e-9
 MAX_INTERVALS = 10_000
 
-# 15-point Kronrod nodes (positive half) and weights, with the embedded 7-point Gauss rule
+# 15-point Kronrod nodes (positive half) and weights, with the embedded 7-point Gauss rule,
+# rounded from a 50-digit Newton solution of their exactness conditions that tests/helpers.py repeats
 _XK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
-    0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0,
+    0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+    0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0,
 ])
 _WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782,
 ])
-_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469])
+_WG = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694])
 
 _NODES = np.concatenate((-_XK[:7], [0.0], _XK[6::-1]))          # ascending in [-1, 1]
 _WEIGHTS_K = np.concatenate((_WK[:7], [_WK[7]], _WK[6::-1]))

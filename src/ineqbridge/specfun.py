@@ -128,18 +128,14 @@ def _stirling_defect(s: float) -> float:
 
 
 def _log_gamma_prefactor(s: float, x: np.ndarray) -> np.ndarray:
-    # ln(x^s e^{-x} / Gamma(s)), stable near x ~ s where the direct form cancels
-    out = np.empty_like(x)
+    # ln(x^s e^-x / Gamma(s)), x > 0, as D(s) + s (ln(x/s) - u), u = (x - s)/s, D = _stirling_defect;
+    # ln(x/s) is log1p(u) where |u| <= 0.5. The floors keep the unused log1p off u = -1 (x/s < 2^-53)
+    # and log off an x/s that rounds to 0 (s >= 2); the cap keeps an x/s that overflows (u = inf)
+    # off inf - inf. Both act only where the prefactor's exponential underflows to 0 anyway
     u = (x - s) / s
-    near = np.abs(u) <= 0.5
-    if near.any():
-        un = u[near]
-        out[near] = _stirling_defect(s) + s * (np.log1p(un) - un)
-    far = ~near
-    if far.any():
-        xf = x[far]
-        out[far] = s * np.log(xf) - xf - math.lgamma(s)
-    return out
+    ratio = np.minimum(np.maximum(x / s, 5e-324), 1.7976931348623157e308)  # the extreme doubles
+    log_ratio = np.where(np.abs(u) <= 0.5, np.log1p(np.maximum(u, -0.5)), np.log(ratio))
+    return _stirling_defect(s) + s * (log_ratio - u)
 
 
 def _gamma_p_series(s: float, x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from functools import cache
 import mpmath as mp
 import numpy as np
 
-from ineqbridge import BiasQuery, DiscreteDist, bias
+from ineqbridge import BiasQuery, DiscreteDist, bias, quadrature
 
 from reference_values import MC_REFERENCE
 
@@ -72,6 +72,47 @@ def mp_temme_coefficients(k_count: int, n_count: int) -> list[list[mp.mpf]]:
         prev = rows[-1]
         rows.append([(-1) ** k * g[k] * d0[n] + (n + 2) * prev[n + 2] for n in range(len(prev) - 2)])
     return [row[:n_count] for row in rows]
+
+
+def mp_kronrod_rule():
+    """Gauss-Kronrod 7/15 constants by Newton's method on the exactness conditions.
+
+    The rules are symmetric, so only even moments constrain them: a rule
+    with center weight w0 and weights w_i at +-x_i integrates x^(2j) over
+    [-1, 1] exactly when w0 [j = 0] + 2 sum_i w_i x_i^(2j) = 2/(2j+1).  The
+    Gauss rule's 3 positive nodes and 4 weights meet j = 0..6 (degree 13);
+    the Kronrod rule keeps those nodes and adds 4, whose 8 weights with the
+    new nodes meet j = 0..11 (degree 23).  Newton starts from
+    `quadrature`'s constants and stops when a step is below 1e-45.  Returns
+    (xk, wk, wg) ordered as `quadrature._XK`, `_WK` and `_WG`.
+    """
+    def solve(nodes, free, weights):
+        # the positive nodes at the indices `free` and every weight (one per positive node,
+        # then the center's) as unknowns, one condition each
+        nodes, weights = [mp.mpf(z) for z in nodes], [mp.mpf(z) for z in weights]
+        size = len(free) + len(weights)
+        for _ in range(100):
+            f, jac = mp.matrix(size, 1), mp.matrix(size, size)
+            for j in range(size):
+                f[j] = 2 * mp.fsum(w * x ** (2 * j) for w, x in zip(weights, nodes)) - mp.mpf(2) / (2 * j + 1)
+                for col, i in enumerate(free):
+                    jac[j, col] = 4 * j * weights[i] * nodes[i] ** (2 * j - 1)
+                for i, x in enumerate(nodes):
+                    jac[j, len(free) + i] = 2 * x ** (2 * j)
+            f[0] += weights[-1]
+            jac[0, size - 1] = 1
+            step = mp.lu_solve(jac, f)
+            for col, i in enumerate(free):
+                nodes[i] -= step[col]
+            weights = [w - step[len(free) + i] for i, w in enumerate(weights)]
+            if mp.norm(step, mp.inf) < mp.mpf(10) ** -45:
+                return nodes, weights
+        raise RuntimeError("Newton's method on the Gauss-Kronrod conditions did not converge")
+
+    xk = quadrature._XK[:7].tolist()  # the Gauss nodes at odd indices, the Kronrod ones at even
+    xk[1::2], wg = solve(xk[1::2], range(3), quadrature._WG)
+    xk, wk = solve(xk, range(0, 7, 2), quadrature._WK)
+    return xk + [mp.mpf(0)], wk, wg
 
 
 def mp_gamma_index(alpha: float, lam: float, dps: int = 25) -> float:

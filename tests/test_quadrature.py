@@ -11,6 +11,24 @@ from ineqbridge import (
     reg_gamma_q,
 )
 
+from helpers import mp_kronrod_rule
+
+
+class TestRule:
+    def test_constants_match_derivation(self):
+        for frozen, derived in zip((quadrature._XK, quadrature._WK, quadrature._WG), mp_kronrod_rule()):
+            assert frozen.tolist() == [float(d) for d in derived]
+
+    def test_exact_on_polynomials(self):
+        # the Kronrod rule integrates x^k over [-1, 1] exactly to degree 22, the Gauss rule to 13,
+        # up to the rounding of the constants, which x^k multiplies by about k; with 15-digit
+        # constants the Kronrod weights summed to 2 (1 - 3.0e-15)
+        for weights, degree in ((quadrature._WEIGHTS_K, 22), (quadrature._WEIGHTS_G, 13)):
+            for k in range(0, degree + 1, 2):
+                exact = 2.0 / (k + 1)
+                got = math.fsum((weights * quadrature._NODES ** k).tolist())
+                assert abs(got - exact) <= (k + 2) * 1.2e-16 * exact, (degree, k)
+
 
 class TestFinite:
     def test_constant(self):

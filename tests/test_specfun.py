@@ -16,6 +16,31 @@ from helpers import erfc_series, gamma_series_stop_term, mp_phi2_unit, mp_reg_q,
 ERFC_1 = 0.15729920705028513
 
 
+class TestLogGammaPrefactor:
+    @pytest.mark.parametrize("s", [1e-3, 0.5, 3.0, 20.0, 100.0, 1e4, 1e6])
+    def test_against_mpmath(self, s):
+        # x/s from 1e-300 to 1e3, and both sides of |u| = 0.5, u = x/s - 1, where ln(x/s)
+        # switches between log1p(u) and log(x/s)
+        edges = [0.5 * (1.0 - 1e-9), 0.5 * (1.0 + 1e-9), 1.5 * (1.0 - 1e-9), 1.5 * (1.0 + 1e-9)]
+        x = s * np.concatenate((np.logspace(-300.0, 3.0, 61), edges, [0.75, 1.0, 1.25, 2.0]))
+        got = specfun._log_gamma_prefactor(s, x)
+        with mp.workdps(40):
+            for g, xv in zip(got.tolist(), x.tolist()):
+                ref = float(mp.mpf(s) * mp.log(xv) - xv - mp.loggamma(s))
+                assert abs(g - ref) <= 3e-15 * max(1.0, abs(ref)), (s, xv / s)
+
+    def test_extreme_ratios_under_warnings_as_errors(self):
+        # x/s below 2^-53 rounds u to -1, and x/s below the least double rounds to 0: neither
+        # may reach a logarithm, where it would raise under this suite's warnings-as-errors;
+        # an x/s that overflows must not leave inf - inf
+        assert reg_gamma_q(5.0, 1e-300) == 1.0
+        assert reg_gamma_q(0.5, [1e-20, 1e-300]) == pytest.approx([math.erfc(1e-10), 1.0], rel=1e-15)
+        assert reg_gamma_q(2.0, 5e-324) == 1.0
+        assert reg_gamma_q(1e30, 1e-300) == 1.0
+        with np.errstate(over="ignore"):  # x/s overflows, and (x - s)/s with it
+            assert reg_gamma_q(1e-10, [1e300, 1.7e308]).tolist() == [0.0, 0.0]
+
+
 class TestRegGammaQ:
     def test_exponential_case(self):
         assert reg_gamma_q(1.0, 2.0) == pytest.approx(math.exp(-2.0), abs=1e-14)
