@@ -25,7 +25,7 @@ from .index_core import gamma_index, lambda_grid
 from .mc_harness import (
     ScenarioFailure,
     SimConfig,
-    _sampler,
+    _block,
     format_table,
     run_grid,
     write_csv,
@@ -252,7 +252,7 @@ def _cmd_simulate(args) -> int:
                                           seed=args.seed + idx))
                     idx += 1
         if args.dump_sample:
-            sample = _sampler(grid[0])(0)
+            sample = _block(grid[0], 0, 1)[0]
             with open(args.dump_sample, "w", encoding="utf-8") as fh:
                 fh.write("value\n")
                 for v in sample:

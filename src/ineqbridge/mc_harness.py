@@ -1,24 +1,25 @@
 """Monte Carlo study of the plug-in estimator under gamma populations.
 
-Each scenario fixes (shape, weight, sample size, replication count, seed);
-every replication r draws its sample from the counter-based Philox stream
-with key seed and counter (0, 0, 0, r) (Salmon et al. 2011, "Parallel
-random numbers: as easy as 1, 2, 3"), so results depend only on (seed, r)
-and not on the order in which replications or scenarios run.  r sits in
-the counter's top word, 2^192 blocks away from the next stream.  The truth
-is the gamma closed form, computed once per scenario.
+Each scenario fixes (shape, weight, sample size, replication count, seed)
+and cuts its replications into blocks of B = max(1, 4096 // n).  Block b is
+one gamma call on the counter-based Philox stream with key seed and counter
+(0, 0, 0, b) (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2,
+3"), and replication r is row r mod B of block r // B.  numpy fills the draw
+in C order, so a block's first rows do not depend on its length and a short
+last block holds the same rows: results depend only on (seed, n, r) and not
+on the order in which blocks or scenarios run.  b sits in the counter's top
+word, 2^192 blocks away from the next stream.  The truth is the gamma closed
+form, computed once per scenario.
 
 One loop, in _scenario, draws and estimates a scenario, memoized by its
-config.  It stacks the samples of max(1, 4096 // n) consecutive
-replications as the rows of one (R, n) block and makes one estimator call
-per block with the weights (lam, 0, 1), which sorts each sample once for
-the I, H and G estimates, so a call's fixed cost is shared by about 4,096
-sample values instead of paid per replication.  Each row's estimate equals
-the estimate of that sample alone, bit for bit.  The summary carries the
-bias of the bridging estimator and `bias_j`, the bias of the
-convex-combination estimator (1-lam)*H_hat + lam*G_hat against
-(1-lam)*H + lam*G, which `compare_i_vs_j` and
-`format_table(..., compare_j=True)` read.
+config.  It makes one estimator call per block with the weights (lam, 0, 1),
+which sorts each sample once for the I, H and G estimates, so the fixed cost
+of a gamma or estimator call is shared by about 4,096 sample values instead
+of paid per replication.  Each row's estimate equals the estimate of that
+sample alone, bit for bit.  The summary carries the bias of the bridging
+estimator and `bias_j`, the bias of the convex-combination estimator
+(1-lam)*H_hat + lam*G_hat against (1-lam)*H + lam*G, which `compare_i_vs_j`
+and `format_table(..., compare_j=True)` read.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "alpha", check_shape(self.alpha))
         object.__setattr__(self, "lam", check_lambda(self.lam))
-        # n, reps and seed are stored as int: range, np.empty and the Philox key take no float
+        # n, reps and seed are stored as int: range, reshape and the Philox key take no float
         object.__setattr__(self, "n", check_count("sample size", self.n, 2))
         object.__setattr__(self, "reps", check_count("replication count", self.reps, 1))
         if not (0 <= self.seed < 2 ** 64 and self.seed == int(self.seed)):
@@ -99,23 +100,12 @@ def _cached_truth(alpha: float, lam: float) -> float:
     return gamma_index(alpha, lam)
 
 
-def _sampler(config: SimConfig):
-    """draw(r), the sample of replication r.  One Philox bit generator serves
-    the scenario: draw resets it to key seed, counter (0, 0, 0, r), an empty
-    buffer and no cached 32-bit half, the state of a fresh Philox(key=seed,
-    counter=[0, 0, 0, r]), at a fifth of the cost of building that one."""
-    bits = np.random.Philox(key=config.seed)
-    rng = np.random.Generator(bits)
-    params = GammaParams(config.alpha, 1.0)
-    state = bits.state
-    counter = state["state"]["counter"]
-
-    def draw(r: int) -> np.ndarray:
-        counter[3] = r
-        bits.state = state
-        return gamma_sample(params, rng, config.n)
-
-    return draw
+def _block(config: SimConfig, b: int, rows: int) -> np.ndarray:
+    """The (rows, n) samples of block b: one gamma_sample call on the Philox
+    stream with key seed and counter (0, 0, 0, b), filled row by row, so the
+    first rows are the same whatever `rows` is."""
+    rng = np.random.Generator(np.random.Philox(key=config.seed, counter=[0, 0, 0, b]))
+    return gamma_sample(GammaParams(config.alpha, 1.0), rng, rows * config.n).reshape(rows, config.n)
 
 
 @lru_cache(maxsize=None)
@@ -124,15 +114,10 @@ def _scenario(config: SimConfig) -> SimSummary:
     lam = config.lam
     truth = _cached_truth(config.alpha, lam)
     truth_j = j_index(gamma_hoover(config.alpha), gamma_gini(config.alpha), lam)
-    draw = _sampler(config)
     rows = max(1, _BLOCK_VALUES // config.n)
-    est = []
-    for first in range(0, config.reps, rows):
-        block = np.empty((min(rows, config.reps - first), config.n))
-        for i in range(len(block)):
-            block[i] = draw(first + i)
-        # one call per block gives I, H and G; each column equals the scalar call bit for bit
-        est.append(i_hat_fast(block, [lam, 0.0, 1.0]))
+    # one call per block gives I, H and G; each column equals the scalar call bit for bit
+    est = [i_hat_fast(_block(config, b, min(rows, config.reps - first)), [lam, 0.0, 1.0])
+           for b, first in enumerate(range(0, config.reps, rows))]
     est_i, h, g = np.concatenate(est).T
     bias_j = math.fsum(((1.0 - lam) * h + lam * g).tolist()) / config.reps - truth_j
     return SimSummary(config, truth, *summarize(est_i, truth), bias_j)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._checks import check_positive
 
-__all__ = ["QuadResult", "QuadratureError", "integrate_finite", "integrate_semi_infinite"]
+__all__ = ["QuadratureError"]
 
 DEFAULT_ABS_TOL = 1e-11
 REL_TOL = 1e-9

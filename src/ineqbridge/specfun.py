@@ -127,11 +127,13 @@ def _stirling_defect(s: float) -> float:
     return 0.5 * math.log(s / (2.0 * math.pi)) - _stirling_series(s)
 
 
+@np.errstate(over="ignore")  # an x/s past the largest double is inf, u with it: see the cap
 def _log_gamma_prefactor(s: float, x: np.ndarray) -> np.ndarray:
     # ln(x^s e^-x / Gamma(s)), x > 0, as D(s) + s (ln(x/s) - u), u = (x - s)/s, D = _stirling_defect;
     # ln(x/s) is log1p(u) where |u| <= 0.5. The floors keep the unused log1p off u = -1 (x/s < 2^-53)
     # and log off an x/s that rounds to 0 (s >= 2); the cap keeps an x/s that overflows (u = inf)
-    # off inf - inf. Both act only where the prefactor's exponential underflows to 0 anyway
+    # off inf - inf, so the prefactor is -inf. Both act only where the prefactor's exponential
+    # underflows to 0 anyway
     u = (x - s) / s
     ratio = np.minimum(np.maximum(x / s, 5e-324), 1.7976931348623157e308)  # the extreme doubles
     log_ratio = np.where(np.abs(u) <= 0.5, np.log1p(np.maximum(u, -0.5)), np.log(ratio))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from ineqbridge import (
     DiscreteDist,
@@ -62,6 +62,24 @@ class TestGammaSample:
         x = gamma_sample(p, np.random.default_rng(2024), 20_000)
         result = stats.kstest(x, stats.gamma(alpha, scale=1.0 / p.beta).cdf)
         assert result.pvalue > 1e-3, result
+
+    def test_tiny_shape_zeros_and_log_scale(self):
+        # at alpha = 1e-3 about half the draws lie below the least positive double and come
+        # out as exact 0s: their share is P(alpha, 5e-324) = e^(alpha ln 5e-324)/Gamma(1+alpha);
+        # the positive ones, spread over ln x in (-745, 2), follow P(alpha, e^t) on that scale
+        alpha, size = 1e-3, 200_000
+        x = gamma_sample(GammaParams(alpha, 1.0), np.random.default_rng(1003), size)
+        assert (x >= 0.0).all()
+
+        def within_4_se(share, p):
+            return abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / size)
+
+        p_zero = math.exp(alpha * math.log(5e-324) - math.lgamma(1.0 + alpha))
+        assert within_4_se(np.mean(x == 0.0), p_zero), (np.mean(x == 0.0), p_zero)
+        log_x = np.log(x[x > 0.0])
+        for t in (-700.0, -500.0, -300.0, -100.0, -20.0, -3.0, 0.0):
+            share = np.mean(x == 0.0) + np.count_nonzero(log_x <= t) / size
+            assert within_4_se(share, special.gammainc(alpha, math.exp(t))), t
 
     def test_tilted_distribution_identity(self):
         # E[1{X <= t} e^(-zX)] / L(z) must match the gamma law with rate beta + z

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,42 +98,75 @@ class TestRunScenario:
         assert 0.85 * 0.0010 <= s.variance <= 1.18 * 0.0010
 
 
+def all_samples(c):
+    """The (reps, n) samples of a scenario, block by block: B = 4096 // n rows a block."""
+    rows = max(1, 4096 // c.n)
+    return np.concatenate([mc._block(c, b, min(rows, c.reps - first))
+                           for b, first in enumerate(range(0, c.reps, rows))])
+
+
+def replication(c, r):
+    """Replication r alone: the last row of the shortest block b = r // B holding it."""
+    rows = max(1, 4096 // c.n)
+    return mc._block(c, r // rows, r % rows + 1)[-1]
+
+
 class TestStreams:
-    def test_replication_r_draws_philox_key_seed_counter_r(self):
+    def test_block_b_draws_philox_key_seed_counter_b(self):
         c = SimConfig(alpha=0.5, lam=0.3, n=12, reps=10, seed=2 ** 64 - 1)
-        for r in (0, 1, 9, 2 ** 40):
-            rng = np.random.Generator(np.random.Philox(key=c.seed, counter=[0, 0, 0, r]))
-            expected = gamma_sample(GammaParams(c.alpha, 1.0), rng, c.n)
-            assert mc._sampler(c)(r).tolist() == expected.tolist()
+        for b in (0, 1, 9, 2 ** 40):
+            rng = np.random.Generator(np.random.Philox(key=c.seed, counter=[0, 0, 0, b]))
+            expected = gamma_sample(GammaParams(c.alpha, 1.0), rng, 3 * c.n)
+            assert mc._block(c, b, 3).shape == (3, c.n)
+            assert mc._block(c, b, 3).ravel().tolist() == expected.tolist()
 
     def test_independent_of_replication_order(self):
+        # each block has its own generator: blocks drawn last to first give the same rows
         c = SimConfig(alpha=2.0, lam=0.5, n=9, reps=70, seed=5)
-        forward = [mc._sampler(c)(r) for r in range(c.reps)]
-        draw = mc._sampler(c)  # one generator, reset after each earlier draw
-        backward = [draw(r) for r in reversed(range(c.reps))]
+        forward = [mc._block(c, b, 20) for b in range(4)]
+        backward = [mc._block(c, b, 20) for b in reversed(range(4))]
         assert np.array_equal(np.array(forward), np.array(backward[::-1]))
 
     def test_seeds_and_replications_differ(self):
         c = SimConfig(alpha=2.0, lam=0.5, n=9, reps=2, seed=5)
         other = SimConfig(alpha=2.0, lam=0.5, n=9, reps=2, seed=6)
-        x = mc._sampler(c)(0)
-        assert not np.array_equal(x, mc._sampler(other)(0))
-        assert not np.array_equal(x, mc._sampler(c)(1))
+        x = mc._block(c, 0, 2)
+        assert not np.array_equal(x, mc._block(other, 0, 2))  # seeds
+        assert not np.array_equal(x, mc._block(c, 1, 2))  # blocks
+        assert not np.array_equal(x[0], x[1])  # rows of one block
 
 
 class TestBlocks:
     @pytest.mark.parametrize("reps", [1, 63, 64, 65, 130])
-    def test_equals_one_replication_at_a_time(self, reps):
+    def test_equals_one_replication_at_a_time(self, reps, monkeypatch, fresh_memos):
         # at n = 64 a block holds 4096 // 64 = 64 rows, so these counts sit at its edges
         c = SimConfig(alpha=0.5, lam=0.3, n=64, reps=reps, seed=17)
-        samples = [mc._sampler(c)(r) for r in range(reps)]
+        samples = [replication(c, r) for r in range(reps)]
         est_i = [i_hat_fast(x, c.lam) for x in samples]
         est_j = [(1.0 - c.lam) * h_hat(x) + c.lam * g_hat(x) for x in samples]
         truth_i = gamma_index(c.alpha, c.lam)
         truth_j = j_index(gamma_hoover(c.alpha), gamma_gini(c.alpha), c.lam)
         bias_j = math.fsum(est_j) / reps - truth_j
+        rows = self.row_estimates(c, monkeypatch)
+        assert rows[:, 0].tolist() == est_i
         assert run_scenario(c) == SimSummary(c, truth_i, *summarize(est_i, truth_i), bias_j)
         assert compare_i_vs_j(c) == (math.fsum(est_i) / reps - truth_i, bias_j)
+        if reps == 130:  # a scenario's rows are a prefix of a longer one's
+            assert np.array_equal(self.row_estimates(replace(c, reps=65), monkeypatch), rows[:65])
+
+    @staticmethod
+    def row_estimates(c, monkeypatch):
+        """The (reps, 3) I, H and G estimates of a fresh pass over c, as the blocks return them."""
+        out = []
+
+        def recorded(x, *args):
+            out.append(i_hat_fast(x, *args))
+            return out[-1]
+
+        monkeypatch.setattr(mc, "i_hat_fast", recorded)
+        mc._scenario(c)
+        monkeypatch.setattr(mc, "i_hat_fast", i_hat_fast)
+        return np.concatenate(out)
 
     def test_blocks_hold_at_most_64_rows(self, monkeypatch, fresh_memos):
         # a block holds at most 4,096 sample values, or one sample when n is larger:
@@ -199,21 +233,23 @@ class TestCompare:
         c = SimConfig(alpha=2.0, lam=lam, n=15, reps=200, seed=9)
         assert compare_i_vs_j(c)[0] == run_scenario(c).bias
 
-    def test_one_draw_per_replication(self, monkeypatch, fresh_memos):
+    def test_one_gamma_call_per_block(self, monkeypatch, fresh_memos):
         draws = []
 
         def counting(*args):
-            draws.append(args)
+            draws.append(args[2])
             return gamma_sample(*args)
 
         monkeypatch.setattr(mc, "gamma_sample", counting)
-        c = SimConfig(alpha=0.5, lam=0.3, n=12, reps=150, seed=23)
+        # 4096 // 12 = 341 rows a block: two full blocks and a short last one
+        c = SimConfig(alpha=0.5, lam=0.3, n=12, reps=700, seed=23)
         for first, second in ((run_scenario, compare_i_vs_j), (compare_i_vs_j, run_scenario)):
             mc._scenario.cache_clear()
             draws.clear()
             first(c)
             second(c)
-            assert len(draws) == c.reps, first.__name__
+            assert draws == [341 * c.n, 341 * c.n, 18 * c.n], first.__name__
+            assert sum(draws) == c.reps * c.n
         memoized = mc._scenario(c)
         mc._scenario.cache_clear()
         assert mc._scenario(c) == memoized  # a fresh pass, bit for bit
@@ -231,8 +267,7 @@ class TestCompare:
         c = SimConfig(alpha=alpha, lam=lam, n=n, reps=4000, seed=seed)
         d = specfun._stirling_defect
         exact = (1.0 - lam) * math.exp(d(alpha)) / alpha * math.expm1(d((n - 1) * alpha) - d(n * alpha))
-        draw = mc._sampler(c)
-        block = np.array([draw(r) for r in range(c.reps)])
+        block = all_samples(c)
         se = np.std((1.0 - lam) * h_hat(block) + lam * g_hat(block), ddof=1) / math.sqrt(c.reps)
         assert abs(run_scenario(c).bias_j - exact) <= 4.0 * se
 

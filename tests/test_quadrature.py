@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 import ineqbridge.quadrature as quadrature
-from ineqbridge import (
-    QuadratureError,
-    integrate_finite,
-    integrate_semi_infinite,
-    reg_gamma_q,
-)
+from ineqbridge import QuadratureError, reg_gamma_q
+from ineqbridge.quadrature import QuadResult, integrate_finite, integrate_semi_infinite
 
 from helpers import mp_kronrod_rule
 
@@ -33,6 +29,7 @@ class TestRule:
 class TestFinite:
     def test_constant(self):
         r = integrate_finite(lambda t: np.ones_like(t), 0.0, 1.0)
+        assert isinstance(r, QuadResult)
         assert r.value == pytest.approx(1.0, abs=1e-14)
         assert r.abs_error_estimate >= 0.0
         assert r.evaluations >= 15

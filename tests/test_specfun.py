@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -37,8 +38,13 @@ class TestLogGammaPrefactor:
         assert reg_gamma_q(0.5, [1e-20, 1e-300]) == pytest.approx([math.erfc(1e-10), 1.0], rel=1e-15)
         assert reg_gamma_q(2.0, 5e-324) == 1.0
         assert reg_gamma_q(1e30, 1e-300) == 1.0
-        with np.errstate(over="ignore"):  # x/s overflows, and (x - s)/s with it
-            assert reg_gamma_q(1e-10, [1e300, 1.7e308]).tolist() == [0.0, 0.0]
+        assert reg_gamma_q(1e-10, [1e300, 1.7e308]).tolist() == [0.0, 0.0]  # x/s overflows
+
+    def test_overflowing_ratio_warns_nothing(self):
+        # x/s and (x - s)/s past the largest double: Q is 0, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reg_gamma_q(1e-300, [1e10, 1e300]).tolist() == [0.0, 0.0]
 
 
 class TestRegGammaQ:
