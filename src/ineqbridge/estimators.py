@@ -18,12 +18,12 @@ sample once for all of them, every entry bit-identical to the scalar call.
 Every sum over a sample is exact and then correctly rounded: each row's
 result equals math.fsum of that row bit for bit, which keeps mixed-magnitude
 samples honest at the 1e-12 level.  Two vectorized error-free extraction
-passes over the whole block (Rump, Ogita & Oishi 2008) give it; only a row
-left with remainders, or out of the passes' exponent range, reaches math.fsum
-itself.  i_hat_fast computes each distinct weight once, and per weight counts
-the sorted values <= each split a_i/lam by one stable argsort of the whole
-block, each row its sorted values followed by its sorted splits, not by one
-searchsorted per row.
+passes (Rump, Ogita & Oishi 2008), each with one sigma = 2**k for the whole
+block, give it; only a row left with remainders reaches math.fsum itself, or
+every row of a block out of the passes' exponent range.  i_hat_fast computes
+each distinct weight once, and per weight counts the sorted values <= each
+split a_i/lam by one stable argsort of the whole block, each row its sorted
+values followed by its sorted splits, not by one searchsorted per row.
 """
 
 from __future__ import annotations
@@ -82,30 +82,30 @@ def _estimate(core, values, min_n: int, *args):
 def _row_fsums(a: np.ndarray) -> np.ndarray:
     # math.fsum of each row, bit for bit, from two extraction passes over the block
     # (Rump, Ogita & Oishi 2008, "Accurate floating-point summation, part I").  A
-    # pass sets sigma = 2**k per row, with max|p| < 2**(k - m) and 2**m >= n + 2:
-    # then q = (sigma + p) - sigma and p - q are exact, and each q is a multiple of
-    # 2**(k - 53) no larger than 2**(k - m), so a row's sum of q is exact in any
-    # order.  A row whose remainders are all 0 after two passes is t1 + t2, and one
-    # IEEE add rounds that as fsum does.  Any other row goes to fsum: of t1, t2 and
-    # its remainders, or of the row itself where sigma would overflow or its
-    # half-ulp be subnormal, so an overflowing sum raises OverflowError as before.
+    # pass sets one sigma = 2**k for the block, with max|p| < 2**(k - m) over it and
+    # 2**m >= n + 2: then q = (sigma + p) - sigma and p - q are exact, and each q is a
+    # multiple of 2**(k - 53) no larger than 2**(k - m), so a row's sum of q is exact
+    # in any order.  A row whose remainders are all 0 after two passes is t1 + t2, and
+    # one IEEE add rounds that as fsum does; any other row goes to fsum of t1, t2 and
+    # its remainders.  Where sigma would overflow or its half-ulp be subnormal, every
+    # row goes to fsum, so an overflowing sum raises OverflowError as before.
     n = a.shape[1]
     m = (n + 1).bit_length()
     q, rest = np.empty(a.shape), np.empty(a.shape)
-    p, parts, ok = a, [], np.ones(len(a), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):  # only in rows that fail ok
-        for _ in range(2):
-            k = np.frexp(np.max(np.abs(p, out=q), axis=1, initial=0.0))[1] + m
-            ok &= (k >= -969) & (k <= 1023)
-            sigma = np.ldexp(1.0, k)[:, None]
-            np.add(sigma, p, out=q)
-            q -= sigma
-            parts.append(q.sum(axis=1))
-            p = np.subtract(p, q, out=rest)
+    p, parts = a, []
+    for _ in range(2):
+        k = int(np.frexp(np.max(np.abs(p, out=q), initial=0.0))[1]) + m
+        if not -969 <= k <= 1023:
+            return np.array([math.fsum(row) for row in a.tolist()])
+        sigma = np.ldexp(1.0, k)
+        np.add(sigma, p, out=q)
+        q -= sigma
+        parts.append(q.sum(axis=1))
+        p = np.subtract(p, q, out=rest)
     t1, t2 = parts
     out = t1 + t2
-    for i in np.flatnonzero(~ok | (p != 0.0).any(axis=1)):
-        out[i] = math.fsum([t1[i], t2[i], *p[i][p[i] != 0.0].tolist()] if ok[i] else a[i].tolist())
+    for i in dict.fromkeys((np.flatnonzero(p != 0.0) // n).tolist()):  # each row with a remainder, once
+        out[i] = math.fsum([t1[i], t2[i], *p[i][p[i] != 0.0].tolist()])
     return out
 
 

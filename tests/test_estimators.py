@@ -1,6 +1,7 @@
 import math
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ class TestBlocks:
         got = i_hat_fast(x, lams)
         assert got.shape == (len(x), len(lams))
         assert got.tolist() == [[i_hat_fast(row, lam) for lam in lams] for row in x]
+
+    def test_pinned_block_estimates(self):
+        # a fixed block from integer arithmetic and IEEE division and multiplication
+        # only: decimals 0.01 to 1.01, a row 1e-20 below the others and a row of
+        # ties and zeros.  Every row sum is correctly rounded and the rest is IEEE
+        # arithmetic, so these bits hold on any platform and for any exact way of
+        # taking the sums; row 4 reaches math.fsum inside the block, not alone
+        block = (np.arange(6 * 12).reshape(6, 12) * 37 % 101 + 1) / 100.0
+        block[4] *= 1e-20
+        block[5] = np.arange(12) % 4 / 4.0
+        got = i_hat_fast(block, [0.5, 0.0, 1.0])
+        assert [[v.hex() for v in row] for row in got.tolist()] == [
+            ["0x1.5cb4e75d401afp-2", "0x1.351d30543781bp-2", "0x1.b9713b4a84278p-2"],
+            ["0x1.10fcea2cb7977p-2", "0x1.da4a94521f015p-3", "0x1.5df78b4b2695bp-2"],
+            ["0x1.fc460e28fd642p-3", "0x1.c3a2189808f18p-3", "0x1.4217828614aa0p-2"],
+            ["0x1.3737373737373p-2", "0x1.1488e5fd43148p-2", "0x1.8a6eeddf0fb8fp-2"],
+            ["0x1.05d8782071678p-2", "0x1.c6eeb810134a5p-3", "0x1.4faebf13d6a47p-2"],
+            ["0x1.7c1f07c1f07c2p-2", "0x1.5555555555555p-2", "0x1.d1745d1745d17p-2"],
+        ]
 
 
 # unsorted and repeated, with both endpoints and the extremes of the interior
@@ -406,6 +426,33 @@ class TestRowSums:
         with pytest.raises(ValueError, match="^sample values too large"):
             i_hat_fast(np.array([[2.0 ** 1021, 2.0 ** 1020], [1.7e308, 1.7e308]]), [0.0, 0.5, 1.0])
         assert np.isfinite(i_hat_fast([2.0 ** 1021, 2.0 ** 1020], [0.0, 0.5, 1.0])).all()
+        block = np.random.default_rng(38).gamma(2.0, size=(5, 2))
+        block[3] = 1.7e308  # inside an ordinary block
+        with pytest.raises(OverflowError):
+            _row_fsums(block)
+        with pytest.raises(ValueError, match="^sample values too large"):
+            i_hat_fast(block, [0.5, 0.0, 1.0])
+
+    def test_route_depends_on_the_block(self, fsum_calls):
+        # sigma is set by the block's largest row, so rows 2**400 below it leave
+        # remainders in the block and reach fsum there, not when summed alone
+        rows = np.random.default_rng(36).gamma(2.0, size=(3, 10)) * np.ldexp(1.0, [[400], [0], [-400]])
+        self.assert_fsum_bits(rows)
+        assert len(fsum_calls) == 2
+        assert [math.fsum(call) for call in fsum_calls] == [math.fsum(row) for row in rows[1:].tolist()]
+        del fsum_calls[:]
+        for row in rows:
+            self.assert_fsum_bits(row[None, :])
+        assert fsum_calls == []
+
+    def test_one_huge_row_sends_the_block_to_fsum(self, fsum_calls):
+        # 2**1021 with n = 10 needs sigma = 2**1026: every row is summed by fsum
+        block = np.random.default_rng(37).gamma(2.0, size=(4, 10))
+        block[2, 3] = 2.0 ** 1021
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            self.assert_fsum_bits(block)
+        assert fsum_calls == block.tolist()
 
     def test_subnormal_guard(self, fsum_calls):
         # sigma = 2**k needs a normal half-ulp 2**(k - 53): k >= -969, and n = 2 has
