@@ -17,7 +17,7 @@ import numpy as np
 def _real(v) -> float:
     try:
         return float(v)
-    except (TypeError, ValueError):  # None or "ten": nan, which every check refuses
+    except (TypeError, ValueError, OverflowError):  # None, "ten" or 10**400: nan, which every check refuses
         return math.nan
 
 

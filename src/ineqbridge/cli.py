@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 
@@ -243,14 +244,8 @@ def _cmd_simulate(args) -> int:
         ns = _number_list(args.n, int)
         if not alphas or not lams or not ns:
             raise ValueError("alpha, lambda, and n lists must be non-empty")
-        grid = []
-        idx = 0
-        for n in ns:
-            for lam in lams:
-                for alpha in alphas:
-                    grid.append(SimConfig(alpha=alpha, lam=lam, n=n, reps=args.reps,
-                                          seed=args.seed + idx))
-                    idx += 1
+        grid = [SimConfig(alpha=alpha, lam=lam, n=n, reps=args.reps, seed=args.seed + idx)
+                for idx, (n, lam, alpha) in enumerate(itertools.product(ns, lams, alphas))]
         if args.dump_sample:
             sample = _block(grid[0], 0, 1)[0]
             with open(args.dump_sample, "w", encoding="utf-8") as fh:

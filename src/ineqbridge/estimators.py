@@ -29,7 +29,6 @@ values followed by its sorted splits, not by one searchsorted per row.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +39,6 @@ __all__ = [
     "h_hat",
     "g_hat",
     "i_hat_fast",
-    "summarize",
-    "SummaryStats",
 ]
 
 
@@ -198,31 +195,3 @@ def i_hat_fast(values, lam):
         raise ValueError(f"weights must be one number or a 1-D sequence, got shape {np.shape(lam)}")
     lams = check_lambda(lam) if np.ndim(lam) == 0 else [check_lambda(v) for v in lam]
     return _estimate(_pairs_sorted, values, 2, lams)
-
-
-class SummaryStats(NamedTuple):
-    mean: float
-    bias: float
-    mse: float
-    variance: float
-
-
-def summarize(estimates, truth: float) -> SummaryStats:
-    """Replication summary: mean, bias, MSE (1/R), and variance (1/(R-1)).
-
-    A single replication has no variance information; the variance is
-    defined as 0 in that degenerate case.
-    """
-    e = np.asarray(estimates, dtype=float).ravel()
-    if e.size == 0:
-        raise ValueError("summarize needs at least one estimate")
-    truth = float(truth)
-    r = e.size
-    mean = math.fsum(e.tolist()) / r
-    bias = mean - truth
-    mse = math.fsum(((v - truth) ** 2 for v in e.tolist())) / r
-    if r > 1:
-        variance = math.fsum(((v - mean) ** 2 for v in e.tolist())) / (r - 1)
-    else:
-        variance = 0.0
-    return SummaryStats(mean=mean, bias=bias, mse=mse, variance=variance)

@@ -25,6 +25,7 @@ and `format_table(..., compare_j=True)` read.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -33,7 +34,7 @@ import numpy as np
 from ._checks import check_count, check_lambda, check_shape
 from .distributions import GammaParams, gamma_sample
 # h_hat and g_hat run nowhere here: perfbench/tracer.py wraps them in this module by name
-from .estimators import g_hat, h_hat, i_hat_fast, summarize  # noqa: F401
+from .estimators import g_hat, h_hat, i_hat_fast  # noqa: F401
 from .index_core import gamma_gini, gamma_hoover, gamma_index, j_index
 
 __all__ = [
@@ -69,7 +70,8 @@ class SimConfig:
         # n, reps and seed are stored as int: range, reshape and the Philox key take no float
         object.__setattr__(self, "n", check_count("sample size", self.n, 2))
         object.__setattr__(self, "reps", check_count("replication count", self.reps, 1))
-        if not (0 <= self.seed < 2 ** 64 and self.seed == int(self.seed)):
+        if not (isinstance(self.seed, numbers.Real)
+                and 0 <= self.seed < 2 ** 64 and self.seed == int(self.seed)):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -106,6 +108,26 @@ def _block(config: SimConfig, b: int, rows: int) -> np.ndarray:
     first rows are the same whatever `rows` is."""
     rng = np.random.Generator(np.random.Philox(key=config.seed, counter=[0, 0, 0, b]))
     return gamma_sample(GammaParams(config.alpha, 1.0), rng, rows * config.n).reshape(rows, config.n)
+
+
+def summarize(estimates, truth: float) -> tuple[float, float, float, float]:
+    """Replication summary (mean, bias, MSE (1/R), variance (1/(R-1))).
+
+    A single replication has no variance information; the variance is
+    defined as 0 in that degenerate case.
+    """
+    e = np.asarray(estimates, dtype=float).ravel()
+    if e.size == 0:
+        raise ValueError("summarize needs at least one estimate")
+    truth = float(truth)
+    r = e.size
+    mean = math.fsum(e.tolist()) / r
+    mse = math.fsum(((v - truth) ** 2 for v in e.tolist())) / r
+    if r > 1:
+        variance = math.fsum(((v - mean) ** 2 for v in e.tolist())) / (r - 1)
+    else:
+        variance = 0.0
+    return mean, mean - truth, mse, variance
 
 
 @lru_cache(maxsize=None)

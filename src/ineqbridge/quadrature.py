@@ -94,7 +94,9 @@ def integrate_finite(f, lo: float, hi: float, abs_tol: float = DEFAULT_ABS_TOL,
     Optional interior breakpoints pre-split the interval so that integrand
     kinks or jumps sit on subinterval boundaries (rule nodes are strictly
     interior, so a piecewise-constant integrand is handled exactly).  Raises
-    QuadratureError after MAX_INTERVALS subintervals without convergence.
+    QuadratureError when the exact sum of the pieces' error estimates is above
+    the tolerance at the end: after MAX_INTERVALS subintervals, when no piece
+    can be split further, or when the running sum the loop tests has cancelled.
     """
     lo = float(lo)
     hi = float(hi)
@@ -120,15 +122,8 @@ def integrate_finite(f, lo: float, hi: float, abs_tol: float = DEFAULT_ABS_TOL,
     stuck = []  # intervals too narrow to split further
     while True:
         tol = max(abs_tol, REL_TOL * abs(total_val))
-        if total_err <= tol or not heap:
+        if total_err <= tol or not heap or len(heap) + len(stuck) >= MAX_INTERVALS:
             break
-        if len(heap) + len(stuck) >= MAX_INTERVALS:
-            value = math.fsum(item[4] for item in heap + stuck)
-            raise QuadratureError(
-                f"no convergence within {MAX_INTERVALS} subintervals "
-                f"(estimate {value!r}, error bound {total_err!r})",
-                estimate=value, error_bound=total_err, evaluations=neval,
-            )
         neg_err, _, a, b, val, err = heapq.heappop(heap)
         m = 0.5 * (a + b)
         if not (a < m < b):
@@ -145,6 +140,12 @@ def integrate_finite(f, lo: float, hi: float, abs_tol: float = DEFAULT_ABS_TOL,
     pieces = heap + stuck
     value = math.fsum(item[4] for item in pieces)
     err_bound = math.fsum(item[5] for item in pieces)
+    if err_bound > max(abs_tol, REL_TOL * abs(value)):
+        raise QuadratureError(
+            f"no convergence within {len(pieces)} subintervals "
+            f"(estimate {value!r}, error bound {err_bound!r})",
+            estimate=value, error_bound=err_bound, evaluations=neval,
+        )
     return QuadResult(value=value, abs_error_estimate=err_bound, evaluations=neval)
 
 

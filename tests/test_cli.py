@@ -374,10 +374,29 @@ class TestSimulateCommand:
         assert out == ""
         assert "[Errno 2] No such file or directory" in err
 
+    def test_grid_order_and_seeds(self, tmp_path, capsys):
+        # n outer, lambda middle, alpha inner; scenario k takes seed + k
+        target = tmp_path / "grid.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--alpha", "0.5,2", "--lambda", "0.25,0.75",
+                             "--n", "10,20", "--reps", "5", "--seed", "7", "--out", str(target))
+        assert code == 0
+        rows = [line.split(",")[:5] for line in target.read_text().strip().split("\n")[1:]]
+        assert rows == [
+            ["0.5", "0.25", "10", "5", "7"], ["2", "0.25", "10", "5", "8"],
+            ["0.5", "0.75", "10", "5", "9"], ["2", "0.75", "10", "5", "10"],
+            ["0.5", "0.25", "20", "5", "11"], ["2", "0.25", "20", "5", "12"],
+            ["0.5", "0.75", "20", "5", "13"], ["2", "0.75", "20", "5", "14"],
+        ]
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--alpha", "", "--lambda", "0.5",
                                "--n", "10")
         assert code == 1
+        # a count too large for a float names its argument
+        code, _, err = run_cli(capsys, "simulate", "--alpha", "2", "--lambda", "0.5",
+                               "--n", "10", "--reps", "1" + "0" * 400)
+        assert code == 1
+        assert err.startswith("error: replication count must be an integer >= 1, got 1000")
 
 
 class TestDigitsFlag:

@@ -15,7 +15,6 @@ from ineqbridge import (
     h_hat,
     i_hat,
     i_hat_fast,
-    summarize,
 )
 from ineqbridge import estimators
 from ineqbridge.estimators import _row_fsums
@@ -515,34 +514,3 @@ class TestRepeatedWeights:
         g_hat(x)
         i_hat_fast(x, [0.0, 1.0])
         assert row_sums == [(1, 50)] * 7
-
-
-class TestSummarize:
-    def test_exact_recovery(self):
-        s = summarize([0.3, 0.3, 0.3], truth=0.3)
-        assert s == (0.3, 0.0, 0.0, 0.0)
-
-    def test_hand_computed_pair(self):
-        s = summarize([0.2, 0.4], truth=0.3)
-        assert s.mean == pytest.approx(0.3, abs=1e-15)
-        assert s.bias == pytest.approx(0.0, abs=1e-15)
-        assert s.mse == pytest.approx(0.01, abs=1e-15)
-        assert s.variance == pytest.approx(0.02, abs=1e-15)
-
-    def test_decomposition_identity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            est = rng.uniform(0.0, 1.0, size=int(rng.integers(2, 200)))
-            truth = float(rng.uniform(0.0, 1.0))
-            s = summarize(est, truth)
-            r = est.size
-            assert s.mse == pytest.approx(s.variance * (r - 1) / r + s.bias ** 2, abs=1e-12)
-
-    def test_single_replication_variance_is_zero(self):
-        s = summarize([0.4], truth=0.3)
-        assert s.variance == 0.0
-        assert s.mse == pytest.approx(0.01, abs=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([], truth=0.3)

@@ -23,9 +23,9 @@ from ineqbridge import (
     run_grid,
     run_scenario,
     specfun,
-    summarize,
     write_csv,
 )
+from ineqbridge.mc_harness import summarize
 
 
 @pytest.fixture
@@ -55,6 +55,11 @@ class TestSimConfig:
             SimConfig(alpha=1.0, lam=0.5, n=10, reps=math.inf, seed=1)
         with pytest.raises(ValueError):
             SimConfig(alpha=1.0, lam=0.5, n=10, reps=10, seed=math.nan)
+        for seed in ("3", None):
+            with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer"):
+                SimConfig(alpha=1.0, lam=0.5, n=10, reps=10, seed=seed)
+        with pytest.raises(ValueError, match="^replication count must be an integer >= 1"):
+            SimConfig(alpha=1.0, lam=0.5, n=10, reps=10 ** 400, seed=1)
 
 
 class TestRunScenario:
@@ -187,6 +192,37 @@ class TestBlocks:
             run_scenario(c)
             compare_i_vs_j(c)  # reads run_scenario's pass: i_hat_fast once per block in all
             assert shapes == [(r, n) for r in rows], (n, shapes)
+
+
+class TestSummarize:
+    def test_exact_recovery(self):
+        s = summarize([0.3, 0.3, 0.3], truth=0.3)
+        assert s == (0.3, 0.0, 0.0, 0.0)
+
+    def test_hand_computed_pair(self):
+        mean, bias, mse, variance = summarize([0.2, 0.4], truth=0.3)
+        assert mean == pytest.approx(0.3, abs=1e-15)
+        assert bias == pytest.approx(0.0, abs=1e-15)
+        assert mse == pytest.approx(0.01, abs=1e-15)
+        assert variance == pytest.approx(0.02, abs=1e-15)
+
+    def test_decomposition_identity(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            est = rng.uniform(0.0, 1.0, size=int(rng.integers(2, 200)))
+            truth = float(rng.uniform(0.0, 1.0))
+            _, bias, mse, variance = summarize(est, truth)
+            r = est.size
+            assert mse == pytest.approx(variance * (r - 1) / r + bias ** 2, abs=1e-12)
+
+    def test_single_replication_variance_is_zero(self):
+        _, _, mse, variance = summarize([0.4], truth=0.3)
+        assert variance == 0.0
+        assert mse == pytest.approx(0.01, abs=1e-15)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            summarize([], truth=0.3)
 
 
 class TestRunGrid:

@@ -79,6 +79,19 @@ class TestFinite:
         assert err.error_bound > 0.0
         assert err.evaluations > 0
 
+    @pytest.mark.parametrize("power", [1.0, 0.5])
+    def test_no_result_above_its_tolerance(self, power):
+        # a clamped pole's error estimates near 1e300 are added to and taken from the running
+        # sum, which cancels to 0 while the pieces' own estimates sum to far above the tolerance
+        def pole(t):
+            return np.maximum(np.abs(t - 0.1), 1e-300) ** -power
+
+        with pytest.raises(QuadratureError) as exc:
+            integrate_finite(pole, 0.0, 1.0)
+        err = exc.value
+        assert err.error_bound > max(quadrature.DEFAULT_ABS_TOL, quadrature.REL_TOL * abs(err.estimate))
+        assert err.evaluations > 0
+
     def test_one_integrand_call_per_step(self):
         # one call on the nodes of every initial piece, then one per bisection
         sizes = []

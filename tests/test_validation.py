@@ -42,6 +42,11 @@ BAD_INPUTS = (
     + [(param, bad, f"{param} must be an integer >= {least}, got {bad!r}")
        for param, least in (("count", 1), ("grid_size", 2), ("draws", 2)) for bad in (None, "ten")]
     + [("z", None, "z must be finite and > 0, got None")]
+    # an int too large for a float, too
+    + [("alpha", 10 ** 400, f"shape must be finite and > 0, got {10 ** 400!r}"),
+       ("n", 10 ** 400, f"sample size must be an integer >= 2, got {10 ** 400!r}")]
+    + [(param, 10 ** 400, f"{param} must be an integer >= {least}, got {10 ** 400!r}")
+       for param, least in (("count", 1), ("grid_size", 2), ("draws", 2))]
 )
 
 
