@@ -2,14 +2,15 @@
 
 Each check raises a ValueError that names the argument and the value it got,
 and returns the value as the type its caller stores and computes with: a
-float, an int, or a flat float copy of an array.  A leaf module, importing
-only math and numpy, so the special functions and distributions below
-index_core use the same checks as the layers above it.
+float, an int, or a float copy of an array in the array's own shape.  A leaf
+module, importing only math, numbers and numpy, so the special functions and
+distributions below index_core use the same checks as the layers above it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -50,19 +51,22 @@ def check_count(name: str, v, least: int) -> int:
     f = _real(v)
     if not (math.isfinite(f) and f == int(f) and f >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
-    return int(f)
+    return int(v) if isinstance(v, numbers.Integral) else int(f)  # an int above 2**53 stays exact
 
 
 def check_points(x, name: str, context=None) -> np.ndarray:
-    """x as a flat float copy whose every point is finite and >= 0.
+    """x as a float array of x's own shape (0-d for a scalar), every point finite and >= 0.
 
-    `context` maps the call's other arguments to their values; the message
-    names them, and is formatted only when a point fails.
+    An entry float() refuses ("ten", 10**400) gets the message a non-finite
+    point gets.  `context` maps the call's other arguments to their values;
+    the message names them, and is formatted only when a point fails.
     """
-    flat = np.array(x, dtype=float).ravel()
-    bad = ~np.isfinite(flat) | (flat < 0)
-    if bad.any():
+    try:
+        a = np.array(x, dtype=float)
+        bad = a[~np.isfinite(a) | (a < 0)].tolist()
+    except (OverflowError, TypeError, ValueError):
+        bad = [v for v in np.array(x, dtype=object).flat if math.isnan(_real(v))] or [x]
+    if bad:
         at = ", ".join(f"{k}={v!r}" for k, v in (context or {}).items())
-        raise ValueError(f"{name} must be finite and >= 0, got {float(flat[bad][0])!r}"
-                         + (f" at {at}" if at else ""))
-    return flat
+        raise ValueError(f"{name} must be finite and >= 0, got {bad[0]!r}" + (f" at {at}" if at else ""))
+    return a

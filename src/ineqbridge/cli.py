@@ -6,7 +6,7 @@ Subcommands:
   bias      analytic expectation and bias of the estimator for gamma samples
   simulate  Monte Carlo grid with CSV and aligned-table output
 
-Exit codes: 0 success, 1 runtime or numeric failure, 2 usage error.
+Exit codes: 0 success, 1 any failure (one `error:` line, a closed stdout too), 2 usage error.
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FAILURES = (OSError, ValueError, RuntimeError, OverflowError)  # main's one error line; index, bias add context
+
+
 def _cmd_index(args) -> int:
     lam = 0.0 if args.hoover else 1.0 if args.gini else args.lam
     where = f"grid={args.grid}" if args.grid is not None else f"lambda={lam}"
@@ -98,14 +101,16 @@ def _cmd_index(args) -> int:
             for lam in lambda_grid(args.grid):
                 where = f"grid={args.grid}: lambda={lam}"
                 points.append((lam, gamma_index(args.alpha, lam)))
-            print("lambda,value")
-            for lam, value in points:
-                print(f"{lam:g},{value:.{args.digits}f}")
         else:
-            print(f"{gamma_index(args.alpha, lam):.{args.digits}f}")
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        print(f"error: alpha={args.alpha} {where}: {exc}", file=sys.stderr)
-        return 1
+            value = gamma_index(args.alpha, lam)
+    except _FAILURES as exc:
+        raise ValueError(f"alpha={args.alpha} {where}: {exc}") from None
+    if args.grid is None:
+        print(f"{value:.{args.digits}f}")
+        return 0
+    print("lambda,value")
+    for lam, value in points:
+        print(f"{lam:g},{value:.{args.digits}f}")
     return 0
 
 
@@ -188,38 +193,34 @@ def _write_svg(path: str, points) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    try:
-        if args.svg and args.path is None:
-            raise ValueError("--svg requires --path")
-        lambdas = sorted(_number_list(args.lambdas, float))
-        values = np.array(_read_column(args.input, args.column, args.quiet), dtype=float)
-        grid = [] if args.path is None else lambda_grid(args.path)
-        # one call sorts and sums the sample once for the rows and the path, and
-        # runs each distinct weight once (the path repeats the rows' weights, 0
-        # and 1); its trailing 0 and 1 entries equal h_hat and g_hat bit for bit
-        *estimates, hoover, gini = i_hat_fast(values, lambdas + grid + [0.0, 1.0]).tolist()
-        rows = [("Hoover", hoover)] + [(f"I_{lam:g}", v) for lam, v in zip(lambdas, estimates)]
-        rows.append(("Gini", gini))
-        points = list(zip(grid, estimates[len(lambdas):]))
-        # every step that can fail runs before the first line is printed
-        if args.svg:
-            _write_svg(args.svg, points)
-        if args.format == "csv":
-            print("Measure,Value")
-            for name, value in rows:
-                print(f"{name},{value:.{args.digits}f}")
-        else:
-            name_w = max(len(name) for name, _ in rows + [("Measure", 0.0)])
-            print(f"{'Measure':<{name_w}}  Value")
-            for name, value in rows:
-                print(f"{name:<{name_w}}  {value:.{args.digits}f}")
-        if args.path is not None:
-            print("lambda,value")
-            for lam, value in points:
-                print(f"{lam:g},{value:.{args.digits}f}")
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.svg and args.path is None:
+        raise ValueError("--svg requires --path")
+    lambdas = sorted(_number_list(args.lambdas, float))
+    values = np.array(_read_column(args.input, args.column, args.quiet), dtype=float)
+    grid = [] if args.path is None else lambda_grid(args.path)
+    # one call sorts and sums the sample once for the rows and the path, and
+    # runs each distinct weight once (the path repeats the rows' weights, 0
+    # and 1); its trailing 0 and 1 entries equal h_hat and g_hat bit for bit
+    *estimates, hoover, gini = i_hat_fast(values, lambdas + grid + [0.0, 1.0]).tolist()
+    rows = [("Hoover", hoover)] + [(f"I_{lam:g}", v) for lam, v in zip(lambdas, estimates)]
+    rows.append(("Gini", gini))
+    points = list(zip(grid, estimates[len(lambdas):]))
+    # every step that can fail runs before the first line is printed
+    if args.svg:
+        _write_svg(args.svg, points)
+    if args.format == "csv":
+        print("Measure,Value")
+        for name, value in rows:
+            print(f"{name},{value:.{args.digits}f}")
+    else:
+        name_w = max(len(name) for name, _ in rows + [("Measure", 0.0)])
+        print(f"{'Measure':<{name_w}}  Value")
+        for name, value in rows:
+            print(f"{name:<{name_w}}  {value:.{args.digits}f}")
+    if args.path is not None:
+        print("lambda,value")
+        for lam, value in points:
+            print(f"{lam:g},{value:.{args.digits}f}")
     return 0
 
 
@@ -228,55 +229,51 @@ def _cmd_bias(args) -> int:
         q = BiasQuery(alpha=args.alpha, lam=args.lam, n=args.n)
         truth = gamma_index(q.alpha, q.lam)
         expected = expected_i_hat(q)
-        print(f"I_lambda  {truth:.{args.digits}f}")
-        print(f"E[I_hat]  {expected:.{args.digits}f}")
-        print(f"bias      {expected - truth:.{args.digits}f}")
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        print(f"error: alpha={args.alpha} lambda={args.lam} n={args.n}: {exc}", file=sys.stderr)
-        return 1
+    except _FAILURES as exc:
+        raise ValueError(f"alpha={args.alpha} lambda={args.lam} n={args.n}: {exc}") from None
+    print(f"I_lambda  {truth:.{args.digits}f}")
+    print(f"E[I_hat]  {expected:.{args.digits}f}")
+    print(f"bias      {expected - truth:.{args.digits}f}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        alphas = _number_list(args.alpha, float)
-        lams = _number_list(args.lam, float)
-        ns = _number_list(args.n, int)
-        if not alphas or not lams or not ns:
-            raise ValueError("alpha, lambda, and n lists must be non-empty")
-        grid = [SimConfig(alpha=alpha, lam=lam, n=n, reps=args.reps, seed=args.seed + idx)
-                for idx, (n, lam, alpha) in enumerate(itertools.product(ns, lams, alphas))]
-        if args.dump_sample:
-            sample = _block(grid[0], 0, 1)[0]
-            with open(args.dump_sample, "w", encoding="utf-8") as fh:
-                fh.write("value\n")
-                for v in sample:
-                    fh.write(f"{v:.17g}\n")
-        results = run_grid(grid)
-        failures = [r for r in results if isinstance(r, ScenarioFailure)]
-        summaries = [r for r in results if not isinstance(r, ScenarioFailure)]
-        for f in failures:
-            print(f"scenario alpha={f.config.alpha} lambda={f.config.lam} "
-                  f"n={f.config.n} failed: {f.message}", file=sys.stderr)
-        # the CSV is written before the table, so a failed write prints nothing
-        if args.out:
-            write_csv(summaries, args.out)
-        if summaries:
-            print(format_table(summaries, digits=args.digits, compare_j=args.compare_j))
-        if failures:
-            return 1
-    except (ValueError, RuntimeError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    alphas = _number_list(args.alpha, float)
+    lams = _number_list(args.lam, float)
+    ns = _number_list(args.n, int)
+    if not alphas or not lams or not ns:
+        raise ValueError("alpha, lambda, and n lists must be non-empty")
+    grid = [SimConfig(alpha=alpha, lam=lam, n=n, reps=args.reps, seed=args.seed + idx)
+            for idx, (n, lam, alpha) in enumerate(itertools.product(ns, lams, alphas))]
+    if args.dump_sample:
+        sample = _block(grid[0], 0, 1)[0]
+        with open(args.dump_sample, "w", encoding="utf-8") as fh:
+            fh.write("value\n")
+            for v in sample:
+                fh.write(f"{v:.17g}\n")
+    results = run_grid(grid)
+    failures = [r for r in results if isinstance(r, ScenarioFailure)]
+    summaries = [r for r in results if not isinstance(r, ScenarioFailure)]
+    for f in failures:
+        print(f"scenario alpha={f.config.alpha} lambda={f.config.lam} "
+              f"n={f.config.n} failed: {f.message}", file=sys.stderr)
+    # the CSV is written before the table, so a failed write prints nothing
+    if args.out:
+        write_csv(summaries, args.out)
+    if summaries:
+        print(format_table(summaries, digits=args.digits, compare_j=args.compare_j))
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     commands = {"index": _cmd_index, "estimate": _cmd_estimate, "bias": _cmd_bias,
                 "simulate": _cmd_simulate}
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except _FAILURES as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -152,20 +152,19 @@ def ghypo_cdf(g: GHypoParams, t):
     and in v = (b u)^a below shape 1, where u^(a-1) would overflow: within
     3.1e-11 of a scipy quadrature oracle at 885 points of the bias
     integral's gamma sums (shapes 0.5 to 1e4, weights 0.1 to 0.999).
-    Scalar or ndarray t.
+    A float for a scalar or 0-d t, otherwise an array of t's shape.
     """
-    shape = np.shape(t)
-    flat = check_points(t, "t", {"g": g})
+    t = check_points(t, "t", {"g": g})
     # b_hi is the larger rate, so the series arguments stay non-negative
     (_, b_hi), (a_lo, b_lo) = sorted(((g.alpha1, g.beta1), (g.alpha2, g.beta2)),
                                      key=lambda comp: -comp[1])
     nu = g.alpha1 + g.alpha2
     ends = _gamma_bulk(g.alpha1)[0] / g.beta1 + _gamma_bulk(g.alpha2)[0] / g.beta2
-    out = np.where(flat >= ends, 1.0, 0.0)
-    within = (2.0 * b_hi - b_lo) * flat <= _PHI2_BUDGET
-    series = within & (flat > 0) & (flat < ends)
+    out = np.where(t >= ends, 1.0, 0.0)
+    within = (2.0 * b_hi - b_lo) * t <= _PHI2_BUDGET
+    series = within & (t > 0) & (t < ends)
     if series.any():
-        ts = flat[series]
+        ts = t[series]
         lp = a_lo * math.log(b_lo / b_hi) + _log_gamma_prefactor(nu, b_hi * ts) - math.log(nu)
         logf = lp + log_humbert_phi2(a_lo, nu + 1.0, b_lo / b_hi, b_hi * ts)
         f = np.exp(logf)
@@ -175,6 +174,6 @@ def ghypo_cdf(g: GHypoParams, t):
                 f"GHypo distribution function exceeded 1 ({bad!r}) for parameters {g}"
             )
         out[series] = np.minimum(f, 1.0)
-    for i in np.flatnonzero(~within & (flat < ends)):
-        out[i] = _ghypo_cdf_convolution(g, float(flat[i]))
-    return float(out[0]) if not shape else out.reshape(shape)
+    for i in np.flatnonzero(~within & (t < ends)):
+        out.flat[i] = _ghypo_cdf_convolution(g, float(t.flat[i]))
+    return float(out) if out.ndim == 0 else out

@@ -52,14 +52,13 @@ def _estimate(core, values, min_n: int, *args):
     underflows) gives its row 0 without the row reaching the core.  A sample
     whose sums overflow a float raises a ValueError, not an inf or nan estimate.
     """
-    x = np.asarray(values, dtype=float)
+    x = check_points(values, "sample values")
     if x.ndim not in (1, 2):
         raise ValueError(f"sample must be 1-D, or 2-D with one sample per row, got shape {x.shape}")
     rows = x if x.ndim == 2 else x[None, :]
     n = rows.shape[1]
     if n < min_n:
         raise ValueError(f"sample needs at least {min_n} observations, got {n}")
-    rows = check_points(rows, "sample values").reshape(rows.shape)
     try:
         with np.errstate(over="raise"):
             xbar = _row_fsums(rows) / n

@@ -182,8 +182,8 @@ def _gamma_q_temme(s: float, x: np.ndarray) -> np.ndarray:
 def reg_gamma_q(s: float, x):
     """Regularized upper incomplete gamma Q(s, x) for s > 0, x >= 0.
 
-    Accepts a scalar or an ndarray for x.  Three routes, with their absolute
-    error against 30- to 50-digit mpmath:
+    A float for a scalar or 0-d x, otherwise an array of x's shape.  Three
+    routes, with their absolute error against 30- to 50-digit mpmath:
 
     - s >= 20 and |x/s - 1| <= 0.3: Temme's uniform expansion (DLMF
       8.12.3-4 with a frozen 10 x 16 table of the 8.12.12 coefficients),
@@ -208,22 +208,19 @@ def reg_gamma_q(s: float, x):
     on the rest of the batch, so a value is the same alone as in any batch.
     """
     s = check_positive("s", s)
-    shape = np.shape(x)
-    flat = check_points(x, "x", {"s": s})
-    out = np.ones_like(flat)
-    lo = flat > 0
-    temme = lo & (s >= _TEMME_MIN_SHAPE) & (np.abs(flat - s) <= _TEMME_MAX_SIGMA * s)
+    x = check_points(x, "x", {"s": s})
+    out = np.ones_like(x)
+    lo = x > 0
+    temme = lo & (s >= _TEMME_MIN_SHAPE) & (np.abs(x - s) <= _TEMME_MAX_SIGMA * s)
     if temme.any():
-        out[temme] = _gamma_q_temme(s, flat[temme])
-    series = lo & ~temme & (flat < max(s + 1.0, _SERIES_MIN_REACH))
+        out[temme] = _gamma_q_temme(s, x[temme])
+    series = lo & ~temme & (x < max(s + 1.0, _SERIES_MIN_REACH))
     if series.any():
-        out[series] = 1.0 - _gamma_p_series(s, flat[series])
+        out[series] = 1.0 - _gamma_p_series(s, x[series])
     cf = lo & ~temme & ~series
     if cf.any():
-        out[cf] = _gamma_q_contfrac(s, flat[cf])
-    if not shape:
-        return float(out[0])
-    return out.reshape(shape)
+        out[cf] = _gamma_q_contfrac(s, x[cf])
+    return float(out) if out.ndim == 0 else out
 
 
 def _gamma_bulk(s: float) -> tuple[float, float]:
@@ -278,10 +275,9 @@ def log_humbert_phi2(a: float, c: float, p: float, y):
     underflows, the log is within 1e-13 of max(1, |log|), worst seen 1.4e-15.
     """
     a, c, p = check_positive("a", a), check_positive("c", c), check_fraction("p", p)
-    shape = np.shape(y)
     out = check_points(y, "y", {"a": a, "c": c, "p": p})
     pos = np.flatnonzero(out)
-    y = out[pos]
+    y = out.flat[pos]
     lo, count = _phi2_windows(a, c, p, y)
     top = int((lo + count).max(initial=1))
     global _phi2_memo
@@ -302,5 +298,5 @@ def log_humbert_phi2(a: float, c: float, p: float, y):
         total = np.add.reduceat(np.exp(t - np.repeat(peak, n)), starts)
         # ln(y^s0/(c)_s0) by the same closed form, exactly 0 at s0 = 0
         base = s0 * np.log(yi / m[s0]) + (s0 - c * np.log1p(s0 / c)) + (defect[s0] - defect[0])
-        out[pos[i:i + step]] = base + (peak - defect[s0]) + np.log(total)
-    return float(out[0]) if not shape else out.reshape(shape)
+        out.flat[pos[i:i + step]] = base + (peak - defect[s0]) + np.log(total)
+    return float(out) if out.ndim == 0 else out

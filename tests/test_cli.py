@@ -1,3 +1,4 @@
+import sys
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 
@@ -431,3 +432,28 @@ class TestDigitsFlag:
             assert captured.out == ""
             assert "--digits" in captured.err
         assert not (tmp_path / "out.csv").exists()
+
+
+class _ClosedStdout:
+    # what print meets when the reader of a pipe has gone, as in `ineqbridge index ... | head -n 1`
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestFailureBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["index", "--alpha", "2", "--lambda", "0.5"],
+        ["index", "--alpha", "2", "--grid", "3"],
+        ["estimate", "--input", FIXTURE, "--column", "gdp_per_capita_ppp", "--quiet"],
+        ["bias", "--alpha", "2", "--lambda", "0.5", "--n", "10"],
+        ["simulate", "--alpha", "2", "--lambda", "0.5", "--n", "10", "--reps", "5"],
+    ])
+    def test_closed_stdout_gives_one_error_line(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: [Errno 32] Broken pipe\n", err

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ineqbridge import (BiasQuery, GammaParams, SimConfig, expected_i_hat, g_hat, gamma_gini, gamma_hoover,
-                        gamma_index, gamma_sample, h_hat, i_hat, i_hat_fast, run_scenario, tilting_lemma_check)
+from ineqbridge import (BiasQuery, DiscreteDist, GammaParams, GHypoParams, SimConfig, expected_i_hat, g_hat,
+                        gamma_gini, gamma_hoover, gamma_index, gamma_sample, ghypo_cdf, h_hat, i_hat, i_hat_fast,
+                        run_scenario, tilting_lemma_check)
+from ineqbridge._checks import check_count
 from ineqbridge.index_core import lambda_grid
+from ineqbridge.specfun import reg_gamma_q
 
 E = GammaParams(1.0, 1.0)
 GOOD = {"alpha": 2.0, "lam": 0.5, "n": 10, "count": 10, "grid_size": 5, "draws": 10, "a": 1.0, "z": 1.0}
@@ -93,3 +96,62 @@ def test_configs_store_the_checked_value(config, field, given, stored):
     checked = make(**{**args, field: given})
     assert type(getattr(checked, field)) is type(stored) and getattr(checked, field) == stored
     assert run(checked) == run(make(**args))
+
+
+# every name check_count is called with, and the least count it takes
+COUNTS = [("sample size", 2), ("replication count", 1), ("count", 1), ("draws", 2), ("grid_size", 2)]
+
+
+@pytest.mark.parametrize("name, least", COUNTS)
+@pytest.mark.parametrize("given", [2 ** 53 + 1, np.int64(7)], ids=["2**53+1", "int64(7)"])
+def test_integer_counts_are_kept_exactly(name, least, given):
+    # 2**53 + 1 has no float of its own, so a count taken through float() would be 2**53
+    count = check_count(name, given, least)
+    assert type(count) is int and count == int(given)
+
+
+def test_configs_store_an_integer_count_exactly():
+    big = 2 ** 53 + 1
+    assert BiasQuery(alpha=2.0, lam=0.5, n=big).n == big
+    config = SimConfig(alpha=2.0, lam=0.5, n=big, reps=big, seed=1)
+    assert (config.n, config.reps) == (big, big)
+
+
+G = GHypoParams(2.0, 1.0, 3.0, 2.0)
+
+# every entry point that takes an array of points, the name it gives them and the context it adds
+ARRAY_ENTRY_POINTS = [
+    ("reg_gamma_q", lambda x: reg_gamma_q(2.0, x), "x must be finite and >= 0, got {} at s=2.0"),
+    ("ghypo_cdf", lambda x: ghypo_cdf(G, x), "t must be finite and >= 0, got {} at g=" + repr(G)),
+    ("i_hat", lambda x: i_hat(x, 0.5), "sample values must be finite and >= 0, got {}"),
+    ("i_hat_fast", lambda x: i_hat_fast(x, 0.5), "sample values must be finite and >= 0, got {}"),
+    ("h_hat", h_hat, "sample values must be finite and >= 0, got {}"),
+    ("g_hat", g_hat, "sample values must be finite and >= 0, got {}"),
+    ("DiscreteDist", lambda x: DiscreteDist([(v, 0.5) for v in x]), "atom value must be finite and >= 0, got {}"),
+]
+
+
+@pytest.mark.parametrize("bad", [10 ** 400, "ten", -1.0, math.nan], ids=["10**400", "ten", "-1.0", "nan"])
+def test_bad_array_entry_gives_the_named_message(bad):
+    # an entry float() refuses gets the message a negative or non-finite one gets
+    for name, call, message in ARRAY_ENTRY_POINTS:
+        with pytest.raises(ValueError) as exc:
+            call([1.0, bad])
+        assert str(exc.value) == message.format(repr(bad)), name
+
+
+@pytest.mark.parametrize("call, values", [
+    (lambda x: reg_gamma_q(2.0, x), [[0.0, 0.5], [2.0, 7.5]]),
+    (lambda x: ghypo_cdf(G, x), [[0.0, 0.5], [2.0, 7.5]]),
+    # past the series budget, so the points below the mass's end take the convolution one by one
+    (lambda x: ghypo_cdf(GHypoParams(1e4, 1.0, 1e4, 2.0), x), [[14000.0, 15000.0], [16000.0, 30000.0]]),
+], ids=["reg_gamma_q", "ghypo_cdf", "ghypo_cdf convolution"])
+def test_points_keep_their_shape(call, values):
+    pointwise = [[call(v) for v in row] for row in values]
+    for x in (values[0][1], np.float64(values[0][1]), np.array(values[0][1])):
+        out = call(x)
+        assert type(out) is float and out == pointwise[0][1]
+    for x, expected in ((values[:1], pointwise[:1]), (values, pointwise), (np.asfortranarray(values), pointwise)):
+        out = call(x)
+        assert out.shape == np.shape(x)
+        assert out.tolist() == expected
