@@ -54,12 +54,13 @@ def check_count(name: str, v, least: int) -> int:
     return int(v) if isinstance(v, numbers.Integral) else int(f)  # an int above 2**53 stays exact
 
 
-def check_points(x, name: str, context=None) -> np.ndarray:
+def check_points(x, name: str, context=None, ndim=None) -> np.ndarray:
     """x as a float array of x's own shape (0-d for a scalar), every point finite and >= 0.
 
     An entry float() refuses ("ten", 10**400) gets the message a non-finite
     point gets.  `context` maps the call's other arguments to their values;
-    the message names them, and is formatted only when a point fails.
+    the message names them, and is formatted only when a point fails.  With
+    `ndim` (0: one number, 1: a list of them), a point that is a sequence fails.
     """
     try:
         a = np.array(x, dtype=float)
@@ -69,4 +70,6 @@ def check_points(x, name: str, context=None) -> np.ndarray:
     if bad:
         at = ", ".join(f"{k}={v!r}" for k, v in (context or {}).items())
         raise ValueError(f"{name} must be finite and >= 0, got {bad[0]!r}" + (f" at {at}" if at else ""))
+    if ndim is not None and a.ndim > ndim:  # np.array refuses ragged nesting, so every entry has this shape
+        raise ValueError(f"{name} must be one number, got {a[(0,) * ndim].tolist()!r}")
     return a

@@ -122,7 +122,7 @@ def tilting_lemma_check(a: float, b: float, c: float, z: float,
     its rate increased by z).  This is the tilted first moments times the
     normalized mean absolute difference, with the moments cancelled.
     """
-    a, b, c = (check_points(v, name).item() for name, v in (("a", a), ("b", b), ("c", c)))
+    a, b, c = (check_points(v, name, ndim=0).item() for name, v in (("a", a), ("b", b), ("c", c)))
     z = check_positive("z", z)
     draws = check_count("draws", draws, 2)
 

@@ -68,7 +68,7 @@ class DiscreteDist:
 
     def __init__(self, atoms):
         atoms = list(atoms)
-        values = check_points([v for v, _ in atoms], "atom value").tolist()
+        values = check_points([v for v, _ in atoms], "atom value", ndim=1).tolist()
         merged: dict[float, float] = {}
         for v, (_, p) in zip(values, atoms):
             merged[v] = merged.get(v, 0.0) + check_fraction("atom probability", p)
@@ -98,9 +98,7 @@ class DiscreteDist:
         """P(X >= t), the left limit of the usual survival function."""
         idx = np.searchsorted(self.values, np.asarray(t, dtype=float), side="left")
         out = self._tail[idx]
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
+        return float(out) if out.ndim == 0 else out
 
 
 def gamma_sample(p: GammaParams, rng: np.random.Generator, count: int) -> np.ndarray:

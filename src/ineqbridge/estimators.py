@@ -44,13 +44,15 @@ __all__ = [
 
 def _estimate(core, values, min_n: int, *args):
     """Common start of every estimator: validate the samples, take their means,
-    then return core(x, n, xbar, *args) for the rows with a non-zero mean.
+    then return core(x, n, xbar, *args) for every row in one call.
 
     `values` is one sample (1-D), which gives the core's row (a float if that
     is one number), or an (R, n) block of R samples, which gives the (R, ...)
-    array.  A zero mean (an all-zero sample, or a sum so small that the mean
-    underflows) gives its row 0 without the row reaching the core.  A sample
-    whose sums overflow a float raises a ValueError, not an inf or nan estimate.
+    array.  A row's estimate never depends on the rest of its block, so a row
+    with a zero mean (an all-zero sample, or a sum so small that the mean
+    underflows) goes through the core with the others, its 0/0 or x/0 silent,
+    and is set to 0 after it.  A sample whose sums overflow a float raises a
+    ValueError, not an inf or nan estimate.
     """
     x = check_points(values, "sample values")
     if x.ndim not in (1, 2):
@@ -60,15 +62,10 @@ def _estimate(core, values, min_n: int, *args):
     if n < min_n:
         raise ValueError(f"sample needs at least {min_n} observations, got {n}")
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
             xbar = _row_fsums(rows) / n
-            live = xbar != 0.0
-            if live.all():
-                est = core(rows, n, xbar, *args)
-            else:
-                part = core(rows[live], n, xbar[live], *args)
-                est = np.zeros((len(rows),) + part.shape[1:])
-                est[live] = part
+            est = core(rows, n, xbar, *args)
+        est[xbar == 0.0] = 0.0
     except (OverflowError, FloatingPointError):  # from math.fsum and from numpy
         raise ValueError("sample values too large: a sum over the sample overflows a float") from None
     est = est if x.ndim == 2 else est[0]
