@@ -64,9 +64,12 @@ def check_points(x, name: str, context=None, ndim=None) -> np.ndarray:
     """
     try:
         a = np.array(x, dtype=float)
-        bad = a[~np.isfinite(a) | (a < 0)].tolist()
+        ok = a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < math.inf  # nan, +-inf and negatives fail
+        bad = [] if ok else a[~np.isfinite(a) | (a < 0)].tolist()
     except (OverflowError, TypeError, ValueError):
         bad = [v for v in np.array(x, dtype=object).flat if math.isnan(_real(v))] or [x]
+        if ndim is not None and np.ndim(bad[0]) > 0:  # ragged nesting, which np.array refuses
+            raise ValueError(f"{name} must be one number, got {bad[0]!r}")
     if bad:
         at = ", ".join(f"{k}={v!r}" for k, v in (context or {}).items())
         raise ValueError(f"{name} must be finite and >= 0, got {bad[0]!r}" + (f" at {at}" if at else ""))

@@ -18,12 +18,12 @@ sample once for all of them, every entry bit-identical to the scalar call.
 Every sum over a sample is exact and then correctly rounded: each row's
 result equals math.fsum of that row bit for bit, which keeps mixed-magnitude
 samples honest at the 1e-12 level.  Two vectorized error-free extraction
-passes (Rump, Ogita & Oishi 2008), each with one sigma = 2**k for the whole
-block, give it; only a row left with remainders reaches math.fsum itself, or
-every row of a block out of the passes' exponent range.  i_hat_fast computes
-each distinct weight once, and per weight counts the sorted values <= each
-split a_i/lam by one stable argsort of the whole block, each row its sorted
-values followed by its sorted splits, not by one searchsorted per row.
+passes (Rump, Ogita & Oishi 2008) give it, each with one sigma = 2**k for the
+block: its largest value sets the first, and the second is 2**(52 - m) below
+(2**m >= n + 2), as no remainder exceeds half an ulp of the first.  Only rows
+left with remainders reach math.fsum, or every row of a block out of range.
+i_hat_fast computes each distinct weight once and counts the values <= each
+split a_i/lam by one stable argsort of the block, not a searchsorted per row.
 """
 
 from __future__ import annotations
@@ -78,27 +78,29 @@ def _row_fsums(a: np.ndarray) -> np.ndarray:
     # pass sets one sigma = 2**k for the block, with max|p| < 2**(k - m) over it and
     # 2**m >= n + 2: then q = (sigma + p) - sigma and p - q are exact, and each q is a
     # multiple of 2**(k - 53) no larger than 2**(k - m), so a row's sum of q is exact
-    # in any order.  A row whose remainders are all 0 after two passes is t1 + t2, and
-    # one IEEE add rounds that as fsum does; any other row goes to fsum of t1, t2 and
-    # its remainders.  Where sigma would overflow or its half-ulp be subnormal, every
-    # row goes to fsum, so an overflowing sum raises OverflowError as before.
+    # in any order.  max|a| sets the first k and k - 52 + m the second, as |p - q| is at
+    # most 2**(k - 53), half an ulp of sigma.  A row with no remainder after two passes
+    # is t1 + t2, rounded by one IEEE add as fsum does; any other row goes to fsum of its
+    # parts, and where sigma would overflow or its half-ulp be subnormal, every row does.
     n = a.shape[1]
     m = (n + 1).bit_length()
     q, rest = np.empty(a.shape), np.empty(a.shape)
     p, parts = a, []
+    k = math.frexp(np.abs(a, out=q).max(initial=0.0))[1] + m
     for _ in range(2):
-        k = int(np.frexp(np.max(np.abs(p, out=q), initial=0.0))[1]) + m
         if not -969 <= k <= 1023:
             return np.array([math.fsum(row) for row in a.tolist()])
-        sigma = np.ldexp(1.0, k)
+        sigma = math.ldexp(1.0, k)
         np.add(sigma, p, out=q)
         q -= sigma
         parts.append(q.sum(axis=1))
         p = np.subtract(p, q, out=rest)
+        k += m - 52
     t1, t2 = parts
     out = t1 + t2
-    for i in dict.fromkeys((np.flatnonzero(p != 0.0) // n).tolist()):  # each row with a remainder, once
-        out[i] = math.fsum([t1[i], t2[i], *p[i][p[i] != 0.0].tolist()])
+    if p.any():
+        for i in dict.fromkeys((np.flatnonzero(p) // n).tolist()):  # each row with a remainder, once
+            out[i] = math.fsum([t1[i], t2[i], *p[i][p[i] != 0.0].tolist()])
     return out
 
 
@@ -120,7 +122,8 @@ def _pairs_sorted(x, n, xbar, lams):
     distinct = list(dict.fromkeys(weights))
     interior = [lam for lam in distinct if lam not in (0.0, 1.0)]
     if interior or 0.0 in distinct:
-        dev = _row_fsums(np.abs(x - xbar[:, None]))  # sum |Xi - Xbar|
+        dev = x - xbar[:, None]
+        dev = _row_fsums(np.abs(dev, out=dev))  # sum |Xi - Xbar|
     if interior or 1.0 in distinct:
         xs = np.sort(x, axis=1)
     if interior:

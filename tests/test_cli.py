@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +460,48 @@ class TestFailureBoundary:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: [Errno 32] Broken pipe\n", err
+
+
+class TestWorkflowPins:
+    """The values and runs that the CI workflow pins, checked the same way here."""
+
+    @pytest.mark.parametrize("argv, value", [
+        # the closed forms at a shape where ln Gamma written out leaves five correct digits
+        ("index --alpha 1e10 --gini --digits 12", "0.000005641896"),
+        ("index --alpha 1e10 --hoover --digits 12", "0.000003989423"),
+        # equal to their 30-digit mpmath references: a large shape and a small one
+        ("index --alpha 1e4 --lambda 0.5 --digits 12", "0.004460263606"),
+        ("index --alpha 0.001 --lambda 0.5 --digits 12", "0.995065553492"),
+    ])
+    def test_index_values(self, capsys, argv, value):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert out.rstrip("\n") == value
+
+    @pytest.mark.parametrize("argv, line", [
+        # the series cell with the largest y, and a cell whose gamma sum straddles the series budget
+        ("bias --alpha 0.5 --lambda 0.75 --n 120 --digits 12", "E[I_hat]  0.571598349596"),
+        ("bias --alpha 2 --lambda 0.999 --n 40 --digits 12", "E[I_hat]  0.374812559999"),
+        # the Hoover estimator's closed form (mpmath: 0.256661826357868)
+        ("bias --alpha 2 --lambda 0 --n 10 --digits 12", "E[I_hat]  0.256661826358"),
+    ])
+    def test_bias_expectations(self, capsys, argv, line):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert line in out.splitlines()
+
+    @pytest.mark.parametrize("argv", [
+        "simulate --alpha 2 --lambda 0.5 --n 120 --reps 200",
+        # about a fifth of the n = 2 samples are all zero
+        "simulate --alpha 0.001 --lambda 0.5 --n 2,3 --reps 2000",
+        # nearly every row leaves the extraction passes for math.fsum
+        "simulate --alpha 0.05 --lambda 0.5 --n 10,120 --reps 2000",
+    ])
+    def test_runs_under_warnings_as_errors(self, argv):
+        # every warning an error from start-up on, which only a new interpreter gives
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "ineqbridge.cli", *argv.split()],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
+        assert run.stdout.startswith("alpha  lambda")

@@ -360,7 +360,8 @@ class TestRowSums:
         def fsum(values):
             calls.append(list(values))
             return math.fsum(calls[-1])
-        monkeypatch.setattr(estimators, "math", types.SimpleNamespace(fsum=fsum))
+        monkeypatch.setattr(estimators, "math",
+                            types.SimpleNamespace(fsum=fsum, frexp=math.frexp, ldexp=math.ldexp))
         return calls
 
     def assert_fsum_bits(self, block):
@@ -460,21 +461,35 @@ class TestRowSums:
         assert fsum_calls == block.tolist()
 
     def test_subnormal_guard(self, fsum_calls):
-        # sigma = 2**k needs a normal half-ulp 2**(k - 53): k >= -969, and n = 2 has
-        # k = e + 2, so 2**-972 (e = -971) stays on the fast path and 2**-973 does not
-        self.assert_fsum_bits([[2.0 ** -972, 2.0 ** -972], [2.0 ** -972, -3 * 2.0 ** -975]])
+        # sigma = 2**k needs a normal half-ulp 2**(k - 53): k >= -969 on both passes.
+        # n = 2 has k = e + 2 on the first and e + 2 - 52 + 2 = e - 48 on the second, so
+        # the second sets the bound: 2**-922 (e = -921) stays on the fast path, 2**-923 not
+        self.assert_fsum_bits([[2.0 ** -922, 2.0 ** -922], [2.0 ** -922, -3 * 2.0 ** -925]])
         assert fsum_calls == []
-        self.assert_fsum_bits([[2.0 ** -973, 2.0 ** -973]])
-        assert fsum_calls == [[2.0 ** -973, 2.0 ** -973]]
-        # the second pass: x = (1 - 2**-53) 2**e leaves the remainder -2**(e - 53),
-        # so its k is e - 50, on the fast path at e = -919 and not at e = -920
+        self.assert_fsum_bits([[2.0 ** -923, 2.0 ** -923]])
+        assert fsum_calls == [[2.0 ** -923, 2.0 ** -923]]
+        # the same bound with a remainder: x = (1 - 2**-53) 2**e leaves -2**(e - 53) to
+        # the second pass, which extracts it exactly at e = -921 and is refused at e = -922
         del fsum_calls[:]
-        x = np.nextafter(2.0 ** -919, 0.0)
+        x = np.nextafter(2.0 ** -921, 0.0)
         self.assert_fsum_bits([[x, x]])
         assert fsum_calls == []
-        x = np.nextafter(2.0 ** -920, 0.0)
+        x = np.nextafter(2.0 ** -922, 0.0)
         self.assert_fsum_bits([[x, x]])
         assert fsum_calls == [[x, x]]
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 120])
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.2])
+    def test_small_gamma_shapes(self, alpha, n):
+        # raw gamma blocks at small shapes span hundreds of binades, so many rows
+        # leave remainders below the second pass's grid and go to fsum of their parts
+        rng = np.random.default_rng(39)
+        block = rng.gamma(alpha, size=(4096 // n, n))
+        self.assert_fsum_bits(block)
+        self.assert_fsum_bits(np.abs(block - block.mean(axis=1, keepdims=True)))
+        block[len(block) // 2] = 1.7e308  # one overflowing row among them
+        with pytest.raises(OverflowError):
+            _row_fsums(block)
 
     @settings(max_examples=300, deadline=None)
     @given(float_blocks())

@@ -160,11 +160,14 @@ def test_points_keep_their_shape(call, values):
 @pytest.mark.parametrize("call, message", [
     (lambda: DiscreteDist([([1.0, 2.0], 0.5), ([3.0, 4.0], 0.5)]), "atom value must be one number, got [1.0, 2.0]"),
     (lambda: DiscreteDist([([1.0], 0.5), ([3.0], 0.5)]), "atom value must be one number, got [1.0]"),
+    (lambda: DiscreteDist([([1.0, 2.0], 0.5), (3.0, 0.5)]), "atom value must be one number, got [1.0, 2.0]"),
+    (lambda: DiscreteDist([(3.0, 0.5), ([1.0], 0.5)]), "atom value must be one number, got [1.0]"),
     (lambda: tilting_lemma_check([1.0, 2.0], 0.0, 1.0, 1.0, E, E, E, 10), "a must be one number, got [1.0, 2.0]"),
     (lambda: tilting_lemma_check([[1.0]], 0.0, 1.0, 1.0, E, E, E, 10), "a must be one number, got [[1.0]]"),
     (lambda: tilting_lemma_check(1.0, np.array([0.0]), 1.0, 1.0, E, E, E, 10), "b must be one number, got [0.0]"),
     (lambda: tilting_lemma_check(1.0, 0.0, [1.0], 1.0, E, E, E, 10), "c must be one number, got [1.0]"),
-], ids=["atoms of two", "atoms of one", "a of two", "a nested", "b array", "c list"])
+], ids=["atoms of two", "atoms of one", "ragged atoms", "ragged atom of one",
+        "a of two", "a nested", "b array", "c list"])
 def test_one_number_arguments_refuse_arrays(call, message):
     # an array, even of one entry, is not one number
     with pytest.raises(ValueError) as exc:
