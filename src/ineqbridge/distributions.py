@@ -116,7 +116,8 @@ def _ghypo_cdf_convolution(g: GHypoParams, t: float) -> float:
     (ac, bc), (ao, bo) = sorted(((g.alpha1, g.beta1), (g.alpha2, g.beta2)),
                                 key=lambda comp: _gamma_bulk(comp[0])[0] / comp[1])
     cut, w = _gamma_bulk(ac)
-    hi, falls = min(t, cut / bc), (max(ac - w, 0.0), ac + w)  # the conditioned density's fall, at rate 1
+    # a first mesh over the conditioned density's bulk, at rate 1: each split would cost a Q call
+    hi, mesh = min(t, cut / bc), [max(ac + k * w / 8.0, 0.0) for k in range(-8, 9)]
 
     def cdf_rest(u):
         return 1.0 - reg_gamma_q(ao, np.maximum(bo * (t - u), 0.0))
@@ -124,13 +125,13 @@ def _ghypo_cdf_convolution(g: GHypoParams, t: float) -> float:
     if ac >= 1.0:
         def integrand(u):
             return np.exp(_log_gamma_prefactor(ac, bc * u)) / u * cdf_rest(u)
-        res = integrate_finite(integrand, 0.0, hi, abs_tol=1e-9, breakpoints=[f / bc for f in falls])
+        res = integrate_finite(integrand, 0.0, hi, abs_tol=1e-9, breakpoints=[f / bc for f in mesh])
     else:  # in v = (b u)^a the density times du is e^(-b u)/Gamma(a+1) dv
         def integrand(v):
             x = v ** (1.0 / ac)
             return np.exp(-x) / math.gamma(ac + 1.0) * cdf_rest(x / bc)
         res = integrate_finite(integrand, 0.0, (bc * hi) ** ac, abs_tol=1e-9,
-                               breakpoints=[f ** ac for f in falls])
+                               breakpoints=[f ** ac for f in mesh])
     return min(max(res.value, 0.0), 1.0)
 
 
@@ -145,11 +146,13 @@ def ghypo_cdf(g: GHypoParams, t):
     nu = a1 + a2.  Past x + y = (2*rate_hi - rate_lo)*t = 4e4, where the
     series' O(y) table of ln V and the ulp of ln Phi2 (error in F) keep
     growing, it conditions on the component (a, b) whose mass ends first and
-    integrates its density times the other's CDF over [0, min(t, U/b)],
-    with breakpoints (a -+ w)/b around the density's spike at large shapes,
-    and in v = (b u)^a below shape 1, where u^(a-1) would overflow: within
-    3.1e-11 of a scipy quadrature oracle at 885 points of the bias
-    integral's gamma sums (shapes 0.5 to 1e4, weights 0.1 to 0.999).
+    integrates its density times the other's CDF over [0, min(t, U/b)] from
+    a first mesh (a + k w/8)/b, k = -8..8, across the density's bulk, so most
+    integrals at shapes >= 1 take one rule call (steps of w/4 left 1 - F =
+    1.7e-14 below the joint cut), and in v = (b u)^a below shape 1, where
+    u^(a-1) would overflow: within 8.2e-12 of a scipy quadrature oracle at
+    the 818 points it takes among t = mean + k sd, k = -6..8, of the bias
+    integral's gamma sums (shapes 0.5 to 1e4, weights 0.1 to 0.999, n 3 to 120).
     A float for a scalar or 0-d t, otherwise an array of t's shape.
     """
     t = check_points(t, "t", {"g": g})

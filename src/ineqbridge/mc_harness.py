@@ -24,7 +24,6 @@ and `format_table(..., compare_j=True)` read.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -34,7 +33,7 @@ import numpy as np
 from ._checks import check_count, check_lambda, check_shape
 from .distributions import GammaParams, gamma_sample
 # h_hat and g_hat run nowhere here: perfbench/tracer.py wraps them in this module by name
-from .estimators import g_hat, h_hat, i_hat_fast  # noqa: F401
+from .estimators import _row_fsums, g_hat, h_hat, i_hat_fast  # noqa: F401
 from .index_core import gamma_gini, gamma_hoover, gamma_index, j_index
 
 __all__ = [
@@ -113,20 +112,21 @@ def _block(config: SimConfig, b: int, rows: int) -> np.ndarray:
 def summarize(estimates, truth: float) -> tuple[float, float, float, float]:
     """Replication summary (mean, bias, MSE (1/R), variance (1/(R-1))).
 
-    A single replication has no variance information; the variance is
-    defined as 0 in that degenerate case.
+    Exact sums from the estimators' row-sum kernel, of squares by C pow: each figure equals
+    math.fsum of Python's ** 2 bit for bit, and a square that overflows raises OverflowError.
+    A single replication has no variance information; its variance is defined as 0.
     """
-    e = np.asarray(estimates, dtype=float).ravel()
+    e = np.asarray(estimates, dtype=float).reshape(1, -1)
     if e.size == 0:
         raise ValueError("summarize needs at least one estimate")
     truth = float(truth)
     r = e.size
-    mean = math.fsum(e.tolist()) / r
-    mse = math.fsum(((v - truth) ** 2 for v in e.tolist())) / r
-    if r > 1:
-        variance = math.fsum(((v - mean) ** 2 for v in e.tolist())) / (r - 1)
-    else:
-        variance = 0.0
+    mean = float(_row_fsums(e)[0]) / r
+    with np.errstate(over="ignore"):  # raised below, as ** 2 raises it; d * d would round differently
+        squares = np.float_power(np.concatenate((e - truth, e - mean)), 2.0)
+    if not np.isfinite(squares).all():  # the kernel would sum an inf to nan
+        raise OverflowError("a squared deviation from the truth or the mean overflows a float")
+    mse, variance = (_row_fsums(squares) / (r, max(r - 1, 1))).tolist()
     return mean, mean - truth, mse, variance
 
 
@@ -141,7 +141,7 @@ def _scenario(config: SimConfig) -> SimSummary:
     est = [i_hat_fast(_block(config, b, min(rows, config.reps - first)), [lam, 0.0, 1.0])
            for b, first in enumerate(range(0, config.reps, rows))]
     est_i, h, g = np.concatenate(est).T
-    bias_j = math.fsum(((1.0 - lam) * h + lam * g).tolist()) / config.reps - truth_j
+    bias_j = float(_row_fsums(((1.0 - lam) * h + lam * g)[None, :])[0]) / config.reps - truth_j
     return SimSummary(config, truth, *summarize(est_i, truth), bias_j)
 
 

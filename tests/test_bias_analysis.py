@@ -66,19 +66,32 @@ class TestExpectedIHat:
 
     @pytest.mark.parametrize("alpha, lam, n, builds, convolutions", [
         (1.0, 0.75, 120, 2, 13), (0.5, 0.75, 120, 2, 5), (10.0, 0.75, 120, 1, 8), (2.0, 0.999, 40, 3, 120),
+        (1e-3, 0.99, 10, 3, 26),
     ])
     def test_work_per_cell(self, alpha, lam, n, builds, convolutions, monkeypatch):
-        # one Phi2 table per bias integral, rebuilt only when a call needs more diagonals, and no
-        # convolution past the gamma sum's mass, where its CDF is exactly 1
-        counts = {"_phi2_table": 0, "_ghypo_cdf_convolution": 0}
+        # one Phi2 table per bias integral, rebuilt only when a call needs more diagonals, no
+        # convolution past the gamma sum's mass, where its CDF is exactly 1, and one quadrature
+        # rule call per convolution that conditions on a shape >= 1, as the first four cells do;
+        # the last conditions on a shape below 1, in v = (b u)^a, and takes 6 per convolution
+        rules = {(1e-3, 0.99, 10): 156}.get((alpha, lam, n), convolutions)
+        counts = {"_phi2_table": 0, "_ghypo_cdf_convolution": 0, "rules": 0}
         for module, name in ((specfun, "_phi2_table"), (distributions, "_ghypo_cdf_convolution")):
             def counted(*args, name=name, f=getattr(module, name)):
                 counts[name] += 1
                 return f(*args)
             monkeypatch.setattr(module, name, counted)
+
+        def integrate_counted(f, *args, integrate=distributions.integrate_finite, **kwargs):
+            def rule_call(x):  # each rule call evaluates the integrand once, at all its nodes
+                counts["rules"] += 1
+                return f(x)
+            return integrate(rule_call, *args, **kwargs)
+
+        monkeypatch.setattr(distributions, "integrate_finite", integrate_counted)
         monkeypatch.setattr(specfun, "_phi2_memo", (None, np.empty(0), None, None))
         expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n))
-        assert (counts["_phi2_table"], counts["_ghypo_cdf_convolution"]) == (builds, convolutions)
+        got = (counts["_phi2_table"], counts["_ghypo_cdf_convolution"], counts["rules"])
+        assert got == (builds, convolutions, rules)
 
     @pytest.mark.parametrize("alpha, lam, n, oracle", [
         (400.0, 0.5, 40, 0.022239867300),

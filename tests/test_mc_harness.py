@@ -224,6 +224,27 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([], truth=0.3)
 
+    @pytest.mark.parametrize("r", [1, 2, 1000, 4096])
+    def test_equals_the_literal_formula(self, r):
+        # exact sums of C pow squares: math.fsum of Python's ** 2 bit for bit, at scales from 1e-200
+        # (squares subnormal or 0) to 1e100; d * d rounds 1 square in ~1,200 differently, which
+        # the 10 + 16,384 // R samples show at R = 1 and 2
+        rng = np.random.default_rng(r)
+        for _ in range(10 + 16384 // r):
+            scale = 10.0 ** rng.uniform(-200.0, 100.0)
+            est = scale * rng.uniform(-1.0, 1.0, r) * 10.0 ** rng.uniform(-3.0, 3.0, r)
+            truth = scale * float(rng.uniform(-1.0, 1.0))
+            v = est.tolist()
+            mean = math.fsum(v) / r
+            mse = math.fsum((x - truth) ** 2 for x in v) / r
+            variance = math.fsum((x - mean) ** 2 for x in v) / (r - 1) if r > 1 else 0.0
+            assert summarize(est, truth) == (mean, mean - truth, mse, variance)
+
+    def test_overflowing_square_raises(self):
+        # as Python's ** 2 does, with no inf summed to nan on the way
+        with pytest.raises(OverflowError):
+            summarize([1e200, -1e200], 0.0)
+
 
 class TestRunGrid:
     GRID = [
