@@ -21,7 +21,8 @@ samples honest at the 1e-12 level.  Two vectorized error-free extraction
 passes (Rump, Ogita & Oishi 2008) give it, each with one sigma = 2**k for the
 block: its largest value sets the first, and the second is 2**(52 - m) below
 (2**m >= n + 2), as no remainder exceeds half an ulp of the first.  Only rows
-left with remainders reach math.fsum, or every row of a block out of range.
+left with remainders reach math.fsum, or every row of a block out of range
+or holding inf or nan.
 i_hat_fast computes each distinct weight once and counts the values <= each
 split a_i/lam by one stable argsort of the block, not a searchsorted per row.
 """
@@ -81,15 +82,17 @@ def _row_fsums(a: np.ndarray) -> np.ndarray:
     # in any order.  max|a| sets the first k and k - 52 + m the second, as |p - q| is at
     # most 2**(k - 53), half an ulp of sigma.  A row with no remainder after two passes
     # is t1 + t2, rounded by one IEEE add as fsum does; any other row goes to fsum of its
-    # parts, and where sigma would overflow or its half-ulp be subnormal, every row does.
+    # parts.  A block holding inf or nan, or whose first sigma would overflow or second
+    # half-ulp be subnormal, goes to fsum row by row before any pass.
     n = a.shape[1]
     m = (n + 1).bit_length()
     q, rest = np.empty(a.shape), np.empty(a.shape)
+    top = np.abs(a, out=q).max(initial=0.0)
+    k = math.frexp(top)[1] + m
+    if not (top < np.inf and k <= 1023 and k - 52 + m >= -969):
+        return np.array([math.fsum(row) for row in a.tolist()])
     p, parts = a, []
-    k = math.frexp(np.abs(a, out=q).max(initial=0.0))[1] + m
     for _ in range(2):
-        if not -969 <= k <= 1023:
-            return np.array([math.fsum(row) for row in a.tolist()])
         sigma = math.ldexp(1.0, k)
         np.add(sigma, p, out=q)
         q -= sigma

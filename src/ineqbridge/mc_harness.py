@@ -124,7 +124,7 @@ def summarize(estimates, truth: float) -> tuple[float, float, float, float]:
     mean = float(_row_fsums(e)[0]) / r
     with np.errstate(over="ignore"):  # raised below, as ** 2 raises it; d * d would round differently
         squares = np.float_power(np.concatenate((e - truth, e - mean)), 2.0)
-    if not np.isfinite(squares).all():  # the kernel would sum an inf to nan
+    if not np.isfinite(squares).all():  # ** 2 raises here; the kernel would sum an inf as fsum does
         raise OverflowError("a squared deviation from the truth or the mean overflows a float")
     mse, variance = (_row_fsums(squares) / (r, max(r - 1, 1))).tolist()
     return mean, mean - truth, mse, variance

@@ -50,7 +50,7 @@ class QuadResult:
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the subdivision budget is exhausted before convergence.
+    """Raised when refinement ends with the pieces' error estimates above the tolerance.
 
     Carries the best available estimate and its error bound.
     """
@@ -95,8 +95,9 @@ def integrate_finite(f, lo: float, hi: float, abs_tol: float = DEFAULT_ABS_TOL,
     kinks or jumps sit on subinterval boundaries (rule nodes are strictly
     interior, so a piecewise-constant integrand is handled exactly).  Raises
     QuadratureError when the exact sum of the pieces' error estimates is above
-    the tolerance at the end: after MAX_INTERVALS subintervals, when no piece
-    can be split further, or when the running sum the loop tests has cancelled.
+    the tolerance at the end: after MAX_INTERVALS subintervals, when the worst
+    piece is too narrow to split, or when the running sum the loop tests has
+    cancelled.
     """
     lo = float(lo)
     hi = float(hi)
@@ -111,38 +112,30 @@ def integrate_finite(f, lo: float, hi: float, abs_tol: float = DEFAULT_ABS_TOL,
     pts.append(hi)
 
     vals, errs = _apply_rule(f, pts)
-    heap = [(-err, seq, a, b, val, err)
-            for seq, (a, b, val, err) in enumerate(zip(pts[:-1], pts[1:], vals, errs))]
+    # keyed on the negated error, ties broken by the left end, which no two pieces share
+    heap = [(-err, a, b, val) for a, b, val, err in zip(pts[:-1], pts[1:], vals, errs)]
     heapq.heapify(heap)
     total_val = math.fsum(vals)
     total_err = math.fsum(errs)
-    seq = len(heap)
-    neval = 15 * seq
+    neval = 15 * len(heap)
 
-    stuck = []  # intervals too narrow to split further
-    while True:
-        tol = max(abs_tol, REL_TOL * abs(total_val))
-        if total_err <= tol or not heap or len(heap) + len(stuck) >= MAX_INTERVALS:
-            break
-        neg_err, _, a, b, val, err = heapq.heappop(heap)
+    while total_err > max(abs_tol, REL_TOL * abs(total_val)) and len(heap) < MAX_INTERVALS:
+        neg_err, a, b, val = heap[0]
         m = 0.5 * (a + b)
-        if not (a < m < b):
-            stuck.append((neg_err, 0, a, b, val, err))
-            continue
+        if not a < m < b:  # the worst piece is too narrow to split
+            break
         (lval, rval), (lerr, rerr) = _apply_rule(f, [a, m, b])
         neval += 30
-        heapq.heappush(heap, (-lerr, seq, a, m, lval, lerr))
-        heapq.heappush(heap, (-rerr, seq + 1, m, b, rval, rerr))
-        seq += 2
+        heapq.heapreplace(heap, (-lerr, a, m, lval))
+        heapq.heappush(heap, (-rerr, m, b, rval))
         total_val += (lval + rval) - val
-        total_err += (lerr + rerr) - err
+        total_err += (lerr + rerr) + neg_err
 
-    pieces = heap + stuck
-    value = math.fsum(item[4] for item in pieces)
-    err_bound = math.fsum(item[5] for item in pieces)
+    value = math.fsum(item[3] for item in heap)
+    err_bound = math.fsum(-item[0] for item in heap)
     if err_bound > max(abs_tol, REL_TOL * abs(value)):
         raise QuadratureError(
-            f"no convergence within {len(pieces)} subintervals "
+            f"no convergence within {len(heap)} subintervals "
             f"(estimate {value!r}, error bound {err_bound!r})",
             estimate=value, error_bound=err_bound, evaluations=neval,
         )

@@ -265,6 +265,17 @@ class TestEstimateCommand:
         assert "row 3: too few fields" in err
         assert out == ""
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "input file is empty"),
+        ("v\n" + "x" * 131_073 + "\n", "malformed CSV near row 2: field larger than field limit (131072)"),
+        ("v\n0\n0\n-0.0\n", "all usable values are zero"),
+    ], ids=["empty", "field_over_limit", "zeros"])
+    def test_unusable_file_is_an_error(self, tmp_path, capsys, text, message):
+        f = tmp_path / "in.csv"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "estimate", "--input", str(f), "--column", "v")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestBiasCommand:
     def test_gini_weight(self, capsys):
@@ -401,6 +412,15 @@ class TestSimulateCommand:
                                "--n", "10", "--reps", "1" + "0" * 400)
         assert code == 1
         assert err.startswith("error: replication count must be an integer >= 1, got 1000")
+
+    def test_failed_scenario_is_reported(self, capsys):
+        # the truth at shape 1e-300 comes out near 1e273, so the squared deviations
+        # overflow: the scenario fails with its parameters named, and nothing is printed
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "1e-300", "--lambda", "0.5",
+                                 "--n", "3", "--reps", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("scenario alpha=1e-300 lambda=0.5 n=3 failed: OverflowError: ")
+        assert err.count("\n") == 1
 
 
 class TestDigitsFlag:

@@ -174,6 +174,20 @@ class TestGHypoCdf:
             oracle = quad_ghypo_cdf(g.alpha1, g.beta1, g.alpha2, g.beta2, t)
             assert abs(ghypo_cdf(g, t) - oracle) <= 1e-11, k
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("lam", [0.5, 0.999])
+    def test_quadrature_oracle_at_small_shapes(self, alpha, lam):
+        # the bias integral's gamma sum at n = 3, whose narrower component has shape alpha:
+        # the quadrature oracle's density meets 1 + sigma = 0 next to u = 0 unless it takes
+        # ln(b u / a) there, and both it and ghypo_cdf agree with the mixture oracle
+        g = GHypoParams(alpha, 1.0 / (1.0 - lam), alpha, 1.0 / (1.0 + 2.0 * lam))
+        sd = math.sqrt(g.alpha1 / g.beta1 ** 2 + g.alpha2 / g.beta2 ** 2)
+        for k in range(0, 9, 2):
+            t = g.mean + k * sd
+            oracle = mp_ghypo_cdf(g.alpha1, g.beta1, g.alpha2, g.beta2, t)
+            assert abs(quad_ghypo_cdf(g.alpha1, g.beta1, g.alpha2, g.beta2, t) - oracle) <= 1e-13, k
+            assert abs(ghypo_cdf(g, t) - oracle) <= 1e-11, k
+
     def test_empirical_cdf_within_dkw_bound(self):
         rng = np.random.default_rng(31)
         n = 10 ** 5
@@ -187,6 +201,13 @@ class TestGHypoCdf:
         bound = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
         assert np.max(np.abs(ecdf - model)) <= bound
 
+    def test_series_above_one_is_an_error(self, monkeypatch):
+        # a Phi2 value that puts F above 1 + 1e-9 is a fault of the series, named with its parameters
+        monkeypatch.setattr(distributions, "log_humbert_phi2", lambda a, c, x, y: np.full(np.shape(y), 50.0))
+        with pytest.raises(RuntimeError, match=r"^GHypo distribution function exceeded 1 \(\d.*\) for parameters "
+                                               r"GHypoParams\(alpha1=2\.0, beta1=0\.8, alpha2=1\.0, beta2=1\.5\)$"):
+            ghypo_cdf(GHypoParams(2.0, 0.8, 1.0, 1.5), [0.5, 1.3])
+
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError, match=r"^t must be finite and >= 0, got -1\.0 at g=GHypoParams\(alpha1=1\.0, beta1=1\.0, "
                                              r"alpha2=1\.0, beta2=2\.0\)"):
@@ -199,6 +220,7 @@ class TestDiscreteDist:
     def test_canonicalization_merges_equal_values(self):
         d = DiscreteDist([(2.0, 0.25), (1.0, 0.5), (2.0, 0.25)])
         assert d.atoms == ((1.0, 0.5), (2.0, 0.5))
+        assert repr(d) == "DiscreteDist([(1.0, 0.5), (2.0, 0.5)])"
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -439,6 +439,20 @@ class TestRowSums:
         with pytest.raises(ValueError, match="^sample values too large"):
             i_hat_fast(block, [0.5, 0.0, 1.0])
 
+    def test_non_finite_rows(self, fsum_calls):
+        # a block holding inf or nan goes to fsum row by row, so its ordinary rows keep
+        # their exact sums beside it, and inf - inf raises as fsum raises it
+        ordinary = [[1e300, 1.0, -1e300], [0.5, 0.25, -0.125]]
+        for bad in ([np.inf, 1.0, 0.0], [np.nan, 1.0, 0.0], [-np.inf, 2.0, 1e308]):
+            block = np.array([ordinary[0], bad, ordinary[1]])
+            self.assert_fsum_bits(block)
+            assert len(fsum_calls) == 3
+            del fsum_calls[:]
+        with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
+            math.fsum([np.inf, -np.inf])
+        with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
+            _row_fsums(np.array([ordinary[0], [np.inf, -np.inf, 0.0], ordinary[1]]))
+
     def test_route_depends_on_the_block(self, fsum_calls):
         # sigma is set by the block's largest row, so rows 2**400 below it leave
         # remainders in the block and reach fsum there, not when summed alone

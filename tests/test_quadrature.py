@@ -79,6 +79,23 @@ class TestFinite:
         assert err.error_bound > 0.0
         assert err.evaluations > 0
 
+    def test_worst_piece_too_narrow_to_split(self):
+        # an interval two floats wide: its one bisection leaves two pieces one float wide,
+        # whose huge values of opposite sign keep the error estimate far above the
+        # tolerance; refinement ends there, and the exact check raises on those two pieces
+        lo = 1.0
+        mid = math.nextafter(lo, 2.0)
+        hi = math.nextafter(mid, 2.0)
+
+        def f(t):
+            return np.where(t < mid, 1e300, -1e300)
+
+        with pytest.raises(QuadratureError, match="within 2 subintervals") as exc:
+            integrate_finite(f, lo, hi)
+        vals, errs = quadrature._apply_rule(f, [lo, mid, hi])
+        err = exc.value
+        assert (err.estimate, err.error_bound, err.evaluations) == (math.fsum(vals), math.fsum(errs), 45)
+
     @pytest.mark.parametrize("power", [1.0, 0.5])
     def test_no_result_above_its_tolerance(self, power):
         # a clamped pole's error estimates near 1e300 are added to and taken from the running
