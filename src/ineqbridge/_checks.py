@@ -36,10 +36,6 @@ def check_fraction(name: str, v) -> float:
     return f
 
 
-def check_shape(alpha) -> float:
-    return check_positive("shape", alpha)
-
-
 def check_lambda(lam) -> float:
     f = _real(lam)
     if not 0.0 <= f <= 1.0:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import check_count, check_lambda, check_points, check_positive, check_shape
+from ._checks import check_count, check_lambda, check_points, check_positive
 from .distributions import GammaParams, GHypoParams, gamma_sample, ghypo_cdf
 from .index_core import gamma_gini, gamma_index
 from .quadrature import integrate_finite
@@ -49,7 +49,7 @@ class BiasQuery:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", check_shape(self.alpha))
+        object.__setattr__(self, "alpha", check_positive("shape", self.alpha))
         object.__setattr__(self, "lam", check_lambda(self.lam))
         object.__setattr__(self, "n", check_count("sample size", self.n, 2))
 

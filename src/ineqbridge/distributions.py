@@ -95,8 +95,11 @@ class DiscreteDist:
         return float(self.values[-1])
 
     def survival(self, t):
-        """P(X >= t), the left limit of the usual survival function."""
-        idx = np.searchsorted(self.values, np.asarray(t, dtype=float), side="left")
+        """P(X >= t), the left limit of the usual survival function; a nan t is refused."""
+        t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            raise ValueError("t must not be nan")
+        idx = np.searchsorted(self.values, t, side="left")
         out = self._tail[idx]
         return float(out) if out.ndim == 0 else out
 

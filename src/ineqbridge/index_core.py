@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ._checks import check_count, check_lambda, check_positive, check_shape
+from ._checks import check_count, check_lambda, check_points, check_positive
 from .distributions import DiscreteDist
 from .quadrature import integrate_finite, integrate_semi_infinite
 from .specfun import _gamma_bulk, _stirling_defect, reg_gamma_q
@@ -68,11 +68,12 @@ def integral_index(survival, mean: float, lam: float, *,
     """
     lam = check_lambda(lam)
     mean = check_positive("mean", mean)
+    bps = check_points(list(x_breakpoints), "x_breakpoints", ndim=1).tolist()  # list(): a set or generator too
+    x_upper = None if x_upper is None else check_positive("x_upper", x_upper)
 
     def cdf_left(t):
         return 1.0 - survival(t)
 
-    bps = [float(b) for b in x_breakpoints]
     c = (1.0 - lam) * mean
     part1 = 0.0
     if c > 0.0:
@@ -87,7 +88,7 @@ def integral_index(survival, mean: float, lam: float, *,
         res2 = integrate_semi_infinite(tail_integrand)
     else:
         cuts = set(bps) | {(b - c) / lam for b in bps}
-        res2 = integrate_finite(tail_integrand, 0.0, float(x_upper), breakpoints=cuts)
+        res2 = integrate_finite(tail_integrand, 0.0, x_upper, breakpoints=cuts)
     return (part1 + lam * res2.value) / mean
 
 
@@ -116,7 +117,7 @@ def gamma_index(alpha: float, lam: float) -> float:
     0.1, 0.5, 0.9 and 1 it is within 5.2e-10 relative of the normal limit
     sqrt((1+lam^2)/(2 pi alpha)).
     """
-    alpha = check_shape(alpha)
+    alpha = check_positive("shape", alpha)
     lam = check_lambda(lam)
     if lam == 0.0:
         return gamma_hoover(alpha)
@@ -153,7 +154,7 @@ def gamma_hoover(alpha: float) -> float:
     Taken as exp(D(alpha))/alpha with specfun's Stirling defect D(s) = s ln s - s - ln Gamma(s),
     which does not cancel at large shapes: within 5.1e-15 relative of mpmath, shapes 1e-3 to 1e14.
     """
-    alpha = check_shape(alpha)
+    alpha = check_positive("shape", alpha)
     return math.exp(_stirling_defect(alpha)) / alpha
 
 
@@ -163,7 +164,7 @@ def gamma_gini(alpha: float) -> float:
     Taken as exp(alpha ln(1 + 1/(2 alpha)) - 1/2 + D(alpha) - D(alpha + 1/2)) sqrt(alpha + 1/2) /
     (sqrt(pi) alpha) with D as in gamma_hoover: within 5.6e-15 relative of mpmath, shapes 1e-3 to 1e14.
     """
-    alpha = check_shape(alpha)
+    alpha = check_positive("shape", alpha)
     log_ratio = alpha * math.log1p(0.5 / alpha) - 0.5 + _stirling_defect(alpha) - _stirling_defect(alpha + 0.5)
     return math.exp(log_ratio) * math.sqrt(alpha + 0.5) / (math.sqrt(math.pi) * alpha)
 

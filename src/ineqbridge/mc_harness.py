@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_count, check_lambda, check_shape
+from ._checks import check_count, check_lambda, check_positive
 from .distributions import GammaParams, gamma_sample
 # h_hat and g_hat run nowhere here: perfbench/tracer.py wraps them in this module by name
 from .estimators import _row_fsums, g_hat, h_hat, i_hat_fast  # noqa: F401
@@ -64,7 +64,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", check_shape(self.alpha))
+        object.__setattr__(self, "alpha", check_positive("shape", self.alpha))
         object.__setattr__(self, "lam", check_lambda(self.lam))
         # n, reps and seed are stored as int: range, reshape and the Philox key take no float
         object.__setattr__(self, "n", check_count("sample size", self.n, 2))

@@ -516,6 +516,9 @@ class TestWorkflowPins:
         "simulate --alpha 0.001 --lambda 0.5 --n 2,3 --reps 2000",
         # nearly every row leaves the extraction passes for math.fsum
         "simulate --alpha 0.05 --lambda 0.5 --n 10,120 --reps 2000",
+        # every rule call of a small-shape grid, and the bias cell with the most convolutions
+        "index --alpha 0.001 --grid 21",
+        "bias --alpha 2 --lambda 0.999 --n 40",
     ])
     def test_runs_under_warnings_as_errors(self, argv):
         # every warning an error from start-up on, which only a new interpreter gives
@@ -524,4 +527,5 @@ class TestWorkflowPins:
                              capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stderr == ""
-        assert run.stdout.startswith("alpha  lambda")
+        head = {"simulate": "alpha  lambda", "index": "lambda,value", "bias": "I_lambda"}[argv.split()[0]]
+        assert run.stdout.startswith(head)

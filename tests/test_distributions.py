@@ -238,6 +238,16 @@ class TestDiscreteDist:
         assert d.survival(3.5) == 0.0
         assert d.survival(0.0) == 1.0
 
+    def test_survival_refuses_nan(self):
+        d = DiscreteDist([(1.0, 0.5), (3.0, 0.5)])
+        for t in (math.nan, [math.nan, 2.0]):
+            with pytest.raises(ValueError, match="^t must not be nan$"):
+                d.survival(t)
+        # below every atom and past the top one, the infinities included
+        assert d.survival(-1.0) == d.survival(-math.inf) == 1.0
+        assert d.survival(math.inf) == 0.0
+        assert d.survival([-math.inf, 2.0, math.inf]).tolist() == [1.0, 0.5, 0.0]
+
     def test_mean(self):
         d = DiscreteDist([(0.0, 0.5), (2.0, 0.5)])
         assert d.mean() == 1.0

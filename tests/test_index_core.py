@@ -71,6 +71,10 @@ class TestIntegralIndex:
     def test_matches_discrete_oracle(self):
         d = DiscreteDist([(0.5, 0.2), (1.5, 0.3), (2.5, 0.25), (4.0, 0.15), (7.0, 0.1)])
         assert _discrete_integral(d, 0.37) == pytest.approx(discrete_index(d, 0.37), abs=1e-8)
+        # the breakpoints as any iterable of numbers give the same bits
+        for bps in (set(d.values.tolist()), (float(v) for v in d.values)):
+            got = integral_index(d.survival, d.mean(), 0.37, x_breakpoints=bps, x_upper=d.max_value)
+            assert got == _discrete_integral(d, 0.37)
 
     def test_hoover_branch_matches_discrete(self):
         d = DiscreteDist([(0.0, 0.4), (1.0, 0.3), (5.0, 0.3)])
@@ -79,6 +83,20 @@ class TestIntegralIndex:
     def test_mean_validation(self):
         with pytest.raises(ValueError):
             integral_index(lambda t: 1.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("options, message", [
+        ({"x_breakpoints": [1.0, math.nan]}, "x_breakpoints must be finite and >= 0, got nan"),
+        ({"x_breakpoints": [-1.0, 2.0]}, "x_breakpoints must be finite and >= 0, got -1.0"),
+        ({"x_breakpoints": [[1.0, 2.0]]}, "x_breakpoints must be one number, got [1.0, 2.0]"),
+        ({"x_upper": math.nan}, "x_upper must be finite and > 0, got nan"),
+        ({"x_upper": -1.0}, "x_upper must be finite and > 0, got -1.0"),
+    ], ids=["nan_breakpoint", "negative_breakpoint", "nested_breakpoints", "nan_upper", "negative_upper"])
+    def test_options_are_checked(self, options, message):
+        d = DiscreteDist([(1.0, 0.5), (3.0, 0.5)])
+        for lam in (0.0, 0.5):
+            with pytest.raises(ValueError) as exc:
+                integral_index(d.survival, d.mean(), lam, **options)
+            assert str(exc.value) == message
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(2024)

@@ -1,9 +1,11 @@
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ineqbridge.estimators as estimators
 import ineqbridge.mc_harness as mc
 from ineqbridge import (
     GammaParams,
@@ -192,6 +194,25 @@ class TestBlocks:
             run_scenario(c)
             compare_i_vs_j(c)  # reads run_scenario's pass: i_hat_fast once per block in all
             assert shapes == [(r, n) for r in rows], (n, shapes)
+
+    @pytest.mark.parametrize("alpha, n, calls", [
+        (0.05, 10, 3681), (0.05, 120, 4000), (0.2, 120, 2289), (2.0, 10, 0), (2.0, 120, 0),
+        (0.001, 2, 5857), (0.001, 3, 6632),
+    ])
+    def test_exact_row_sum_fallbacks(self, alpha, n, calls, monkeypatch, fresh_memos):
+        # the math.fsum calls of one pass, the rows whose remainders the row-sum kernel's two
+        # extraction passes leave (ROADMAP item 8): counts are deterministic where times are not,
+        # and a change to the kernel restates them
+        count = 0
+
+        def fsum(values):
+            nonlocal count
+            count += 1
+            return math.fsum(values)
+        monkeypatch.setattr(estimators, "math",
+                            types.SimpleNamespace(fsum=fsum, frexp=math.frexp, ldexp=math.ldexp))
+        mc._scenario(SimConfig(alpha=alpha, lam=0.5, n=n, reps=2000, seed=1))
+        assert count == calls
 
 
 class TestSummarize:

@@ -67,6 +67,26 @@ class TestFinite:
         r = integrate_finite(step, 0.0, 1.0, breakpoints=[0.3, 0.7])
         assert r.value == pytest.approx(0.3 * 2 + 0.4 * 5 + 0.3 * 1, abs=1e-13)
 
+    def test_nan_breakpoint_leaves_the_others_in_place(self):
+        # a nan is dropped before the sort, where it would leave [0.7, nan, 0.3] unsorted
+        # and the jump at 0.3 off every piece's edge
+        def step(t):
+            return np.where(t < 0.3, 1.0, 0.0)
+
+        r = integrate_finite(step, 0.0, 1.0, breakpoints=[0.7, math.nan, 0.3])
+        assert (r.value, r.evaluations) == (0.3, 45)
+
+    @pytest.mark.parametrize("f, hi, piece", [
+        # finite values whose rule sums overflow on the first piece
+        (lambda t: np.full_like(t, 1e308), 10.0, "[0.0, 10.0]"),
+        # finite sums on [0, 1], then overflowing ones on the first half of its split
+        (lambda t: np.where(t < 0.5, 1e308, -1e308), 1.0, "[0.0, 0.5]"),
+    ], ids=["constant", "step"])
+    def test_overflowing_rule_sums_are_an_error(self, f, hi, piece):
+        with pytest.raises(ValueError) as exc:
+            integrate_finite(f, 0.0, hi)
+        assert str(exc.value) == f"integrand values or their rule sums are not finite on {piece}"
+
     def test_budget_exhaustion_carries_estimate(self, monkeypatch):
         def spike(t):
             return 1.0 / np.sqrt(np.abs(np.asarray(t) - 1.0 / 3.0) + 1e-14)
