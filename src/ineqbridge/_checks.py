@@ -3,14 +3,16 @@
 Each check raises a ValueError that names the argument and the value it got,
 and returns the value as the type its caller stores and computes with: a
 float, an int, or a float copy of an array in the array's own shape.  A leaf
-module, importing only math, numbers and numpy, so the special functions and
-distributions below index_core use the same checks as the layers above it.
+module, importing only the standard library and numpy, so the special
+functions and distributions below index_core use the same checks as the
+layers above it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -50,14 +52,24 @@ def check_count(name: str, v, least: int) -> int:
     return int(v) if isinstance(v, numbers.Integral) else int(f)  # an int above 2**53 stays exact
 
 
+def check_seed(v) -> int:
+    # compared as given, so an int above 2**53 is neither rounded nor let past 2**64 - 1
+    if not (isinstance(v, numbers.Real) and 0 <= v < 2 ** 64 and v == int(v)):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {v!r}")
+    return int(v)
+
+
 def check_points(x, name: str, context=None, ndim=None) -> np.ndarray:
     """x as a float array of x's own shape (0-d for a scalar), every point finite and >= 0.
 
-    An entry float() refuses ("ten", 10**400) gets the message a non-finite
-    point gets.  `context` maps the call's other arguments to their values;
+    A set, frozenset or iterator is read as the list of its items.  An entry
+    float() refuses ("ten", 10**400) gets the message a non-finite point
+    gets.  `context` maps the call's other arguments to their values;
     the message names them, and is formatted only when a point fails.  With
     `ndim` (0: one number, 1: a list of them), a point that is a sequence fails.
     """
+    if isinstance(x, (set, frozenset, Iterator)):  # np.array would hold the container as one object
+        x = list(x)
     try:
         a = np.array(x, dtype=float)
         ok = a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < math.inf  # nan, +-inf and negatives fail

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import check_count, check_lambda, check_points, check_positive
+from ._checks import check_count, check_lambda, check_points, check_positive, check_seed
 from .distributions import GammaParams, GHypoParams, gamma_sample, ghypo_cdf
 from .index_core import gamma_gini, gamma_index
 from .quadrature import integrate_finite
@@ -126,7 +126,7 @@ def tilting_lemma_check(a: float, b: float, c: float, z: float,
     z = check_positive("z", z)
     draws = check_count("draws", draws, 2)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     pops = (w, y, zz)
     plain = [gamma_sample(p, rng, draws) for p in pops]  # every plain draw precedes the tilted ones
     mix = tilted_mix = total = log_lap = 0.0

@@ -68,7 +68,7 @@ def integral_index(survival, mean: float, lam: float, *,
     """
     lam = check_lambda(lam)
     mean = check_positive("mean", mean)
-    bps = check_points(list(x_breakpoints), "x_breakpoints", ndim=1).tolist()  # list(): a set or generator too
+    bps = check_points(x_breakpoints, "x_breakpoints", ndim=1).tolist()
     x_upper = None if x_upper is None else check_positive("x_upper", x_upper)
 
     def cdf_left(t):
@@ -98,24 +98,22 @@ def gamma_index(alpha: float, lam: float) -> float:
     Scale free, so no rate parameter appears.  The ends lam = 0 and lam = 1
     are the Hoover and Gini closed forms.  In between, with c = (1-lam)*alpha,
 
-        I = H(alpha) (1-lam)^alpha e^(lam alpha) + lam*Q(alpha, c)
-            - (1/alpha) int_c^inf Q(alpha, t) Q(alpha, (t-c)/lam) dt,
+        I = H(alpha) (1-lam)^alpha e^(lam alpha)
+            + (lam/alpha) int_0^U [Q(alpha, c) - Q(alpha, c + lam*s)] Q(alpha, s) ds,
 
-    with H the Hoover closed form, and the integral is taken in s = (t-c)/lam
-    as lam * int_0^U Q(alpha, c + lam*s) Q(alpha, s) ds.  Its integrand falls
-    on the scale of the shape whatever lam is, so it stops at the fixed cut
-    U = alpha + 40 sqrt(alpha) + 40, past which int_U^inf Q(alpha, s) ds is
-    below 1e-22 at every shape.  The first mesh fences in the falls at
-    alpha -+ w and alpha -+ w/lam (w = 8 sqrt(alpha)), splits alpha -+ w in
-    steps of w/4 and, below shape 1, grades [0, 1] by the powers 4^-k,
-    k = 0..15, toward the s^alpha corner at 0; over the 10 shapes 1e-3 to
-    1e4 and 21 weights of `index --grid 21` a value then takes at most 8 Q
-    calls.  Checked against a 25-digit oracle within 1e-10: worst 5.9e-15
-    for shapes 1e-3 to 1e3 and weights 1e-8 to 0.01, and 2.8e-14 at shape
-    1e4 for weights 0.01 and 0.5; those 210 grid values are within 2.3e-12
-    of 30-digit references.  At shapes 3e8, 1e9 and 1e10 and weights 0,
-    0.1, 0.5, 0.9 and 1 it is within 5.2e-10 relative of the normal limit
-    sqrt((1+lam^2)/(2 pi alpha)).
+    with H the Hoover closed form and the term lam*Q(alpha, c) taken inside through
+    int_0^inf Q(alpha, s) ds = alpha, so the integrand is non-negative.  It falls on
+    the scale of the shape whatever lam is, so it stops at the fixed cut U = alpha +
+    40 sqrt(alpha) + 40, past which int_U^inf Q(alpha, s) ds is below 1e-22 at every
+    shape.  The first mesh fences in the falls at alpha -+ w and alpha -+ w/lam
+    (w = 8 sqrt(alpha)), splits alpha -+ w in steps of w/4 and, below shape 1, grades
+    [0, 1] by the powers 4^-k, k = 0..15, toward the s^alpha corner at 0; over the 10
+    shapes 1e-3 to 1e4 and 21 weights of `index --grid 21` a value then takes at most
+    5 Q calls, 450 in all.  Checked against a 25-digit oracle within 1e-10: worst
+    2.1e-13 for shapes 1e-3 to 1e3 and weights 1e-8 to 0.01, and 1.2e-17 at shape 1e4
+    for weights 0.01 and 0.5; those 210 grid values are within 1.7e-12 of 30-digit
+    references.  At shapes 3e8, 1e9 and 1e10 and weights 0, 0.1, 0.5, 0.9 and 1 it is
+    within 4.2e-10 relative of the normal limit sqrt((1+lam^2)/(2 pi alpha)).
     """
     alpha = check_positive("shape", alpha)
     lam = check_lambda(lam)
@@ -126,14 +124,13 @@ def gamma_index(alpha: float, lam: float) -> float:
 
     c = (1.0 - lam) * alpha
     term1 = gamma_hoover(alpha) * math.exp(alpha * (math.log1p(-lam) + lam))
-    term2 = lam * reg_gamma_q(alpha, c)
 
     def integrand(s):
-        # both factors share the shape, so one Q call serves them: each call costs
+        # every factor shares the shape, so one Q call serves them: each call costs
         # mostly its fixed overhead, not its points
         m = s.size
-        q = reg_gamma_q(alpha, np.concatenate((c + lam * s, s)))
-        return q[:m] * q[m:]
+        q = reg_gamma_q(alpha, np.concatenate(([c], c + lam * s, s)))
+        return (q[0] - q[1:m + 1]) * q[m + 1:]
 
     # the first call should resolve the integrand, as each split costs a call: both
     # factors fall from 1 to 0 near s = alpha, over widths sqrt(alpha) and
@@ -144,27 +141,34 @@ def gamma_index(alpha: float, lam: float) -> float:
     mesh = [alpha - w / lam, alpha + w / lam] + [alpha + k * w / 4.0 for k in range(-4, 5)]
     if alpha < 1.0:
         mesh += [4.0 ** -k for k in range(16)]
-    res = integrate_finite(integrand, 0.0, cut, breakpoints=mesh)
-    return term1 + term2 - lam * res.value / alpha
+    # the tolerance is on the index, not the O(lam) smaller integral: 1e-9 of its bound alpha
+    res = integrate_finite(integrand, 0.0, cut, max(1e-11, 1e-9 * alpha), breakpoints=mesh)
+    return term1 + lam * res.value / alpha
 
 
 def gamma_hoover(alpha: float) -> float:
     """Hoover index of a gamma population: alpha^(alpha-1) e^(-alpha) / Gamma(alpha).
 
-    Taken as exp(D(alpha))/alpha with specfun's Stirling defect D(s) = s ln s - s - ln Gamma(s),
-    which does not cancel at large shapes: within 5.1e-15 relative of mpmath, shapes 1e-3 to 1e14.
+    Taken below shape 8 as alpha^alpha e^(-alpha) / Gamma(alpha + 1), whose factors tend to 1 as alpha -> 0,
+    and from 8 on as exp(D(alpha))/alpha with specfun's Stirling defect D(s) = s ln s - s - ln Gamma(s),
+    which does not cancel at large shapes: within 2.5e-15 relative of mpmath, shapes 1e-3 to 1e14.
     """
     alpha = check_positive("shape", alpha)
+    if alpha < 8.0:
+        return math.pow(alpha, alpha) * math.exp(-alpha) / math.gamma(alpha + 1.0)
     return math.exp(_stirling_defect(alpha)) / alpha
 
 
 def gamma_gini(alpha: float) -> float:
     """Gini coefficient of a gamma population: Gamma(alpha + 1/2) / (sqrt(pi) alpha Gamma(alpha)).
 
-    Taken as exp(alpha ln(1 + 1/(2 alpha)) - 1/2 + D(alpha) - D(alpha + 1/2)) sqrt(alpha + 1/2) /
-    (sqrt(pi) alpha) with D as in gamma_hoover: within 5.6e-15 relative of mpmath, shapes 1e-3 to 1e14.
+    Taken below shape 8 as Gamma(alpha + 1/2) / (Gamma(1/2) Gamma(alpha + 1)), exactly 1 as alpha -> 0, and
+    from 8 on as exp(alpha ln(1 + 1/(2 alpha)) - 1/2 + D(alpha) - D(alpha + 1/2)) sqrt(alpha + 1/2) /
+    (sqrt(pi) alpha) with D as in gamma_hoover: within 3.3e-15 relative of mpmath, shapes 1e-3 to 1e14.
     """
     alpha = check_positive("shape", alpha)
+    if alpha < 8.0:
+        return math.gamma(alpha + 0.5) / (math.gamma(0.5) * math.gamma(alpha + 1.0))
     log_ratio = alpha * math.log1p(0.5 / alpha) - 0.5 + _stirling_defect(alpha) - _stirling_defect(alpha + 0.5)
     return math.exp(log_ratio) * math.sqrt(alpha + 0.5) / (math.sqrt(math.pi) * alpha)
 

@@ -24,13 +24,12 @@ and `format_table(..., compare_j=True)` read.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_count, check_lambda, check_positive
+from ._checks import check_count, check_lambda, check_positive, check_seed
 from .distributions import GammaParams, gamma_sample
 # h_hat and g_hat run nowhere here: perfbench/tracer.py wraps them in this module by name
 from .estimators import _row_fsums, g_hat, h_hat, i_hat_fast  # noqa: F401
@@ -69,10 +68,7 @@ class SimConfig:
         # n, reps and seed are stored as int: range, reshape and the Philox key take no float
         object.__setattr__(self, "n", check_count("sample size", self.n, 2))
         object.__setattr__(self, "reps", check_count("replication count", self.reps, 1))
-        if not (isinstance(self.seed, numbers.Real)
-                and 0 <= self.seed < 2 ** 64 and self.seed == int(self.seed)):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)

@@ -489,6 +489,9 @@ class TestWorkflowPins:
         # the closed forms at a shape where ln Gamma written out leaves five correct digits
         ("index --alpha 1e10 --gini --digits 12", "0.000005641896"),
         ("index --alpha 1e10 --hoover --digits 12", "0.000003989423"),
+        # the closed forms at a tiny shape, where forms through ln Gamma(alpha) read 1 + 2.4e-14 and 1 + 6.1e-14
+        ("index --alpha 1e-300 --hoover --digits 17", "1.00000000000000000"),
+        ("index --alpha 1e-300 --gini --digits 17", "1.00000000000000000"),
         # equal to their 30-digit mpmath references: a large shape and a small one
         ("index --alpha 1e4 --lambda 0.5 --digits 12", "0.004460263606"),
         ("index --alpha 0.001 --lambda 0.5 --digits 12", "0.995065553492"),

@@ -151,8 +151,9 @@ class TestGammaClosedForms:
                 assert gamma_index(alpha, lam) == pytest.approx(ref, abs=1e-10)
 
     def test_each_value_takes_few_q_calls(self, monkeypatch):
-        # the first mesh resolves the integrand, so the adaptive loop seldom splits;
-        # a value that bisects toward a feature one interval per call made up to 59
+        # the first mesh resolves the integrand, so the adaptive loop seldom splits, and
+        # Q(alpha, c) rides in the integrand's one Q call; a value that bisects toward a
+        # feature one interval per call made up to 59
         calls = []
 
         def counting_q(s, x):
@@ -160,13 +161,16 @@ class TestGammaClosedForms:
             return reg_gamma_q(s, x)
 
         monkeypatch.setattr(index_core, "reg_gamma_q", counting_q)
-        most = (0, ())
+        most, total = (0, ()), 0
         for alpha in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e3, 1e4):
             for lam in index_core.lambda_grid(21):
                 calls.clear()
                 gamma_index(alpha, lam)
+                total += len(calls)
                 most = max(most, (len(calls), (alpha, lam)))
-        assert most[0] <= 10, most
+        assert most[0] <= 5, most
+        # the grid's work, 450 calls when this was written: pinned within 10 %
+        assert 405 <= total <= 495, total
 
     def test_large_shape_matches_oracle(self):
         for lam in (0.01, 0.5):
@@ -208,6 +212,20 @@ class TestGammaClosedForms:
                 a = mp.mpf(alpha)
                 ref = float(mp.exp(mp.loggamma(a + 0.5) - mp.loggamma(a)) / (mp.sqrt(mp.pi) * a))
                 assert gamma_gini(alpha) == pytest.approx(ref, rel=1e-14), alpha
+
+    def test_tiny_shapes_are_bounded_and_match_oracle(self):
+        # both ends of the index tend to 1 as the shape tends to 0 and never exceed it;
+        # forms through ln Gamma(alpha) read 1 + 2.4e-14 and 1 + 6.1e-14 at 1e-300
+        for alpha in np.logspace(-300.0, 0.0, 601).tolist():
+            assert 0.0 < gamma_hoover(alpha) <= 1.0 and 0.0 < gamma_gini(alpha) <= 1.0, alpha
+        assert gamma_hoover(1e-300) == gamma_gini(1e-300) == 1.0
+        with mp.workdps(30):
+            for alpha in (1e-300, 1e-30, 1e-12, 1e-6, 1e-3, 0.1, 7.999):
+                a = mp.mpf(alpha)
+                hoover = float(mp.exp(a * mp.log(a) - a - mp.loggamma(a + 1)))
+                gini = float(mp.exp(mp.loggamma(a + 0.5) - mp.loggamma(a + 1)) / mp.sqrt(mp.pi))
+                assert gamma_hoover(alpha) == pytest.approx(hoover, rel=3e-15), alpha
+                assert gamma_gini(alpha) == pytest.approx(gini, rel=3e-15), alpha
 
     def test_domain(self):
         with pytest.raises(ValueError):

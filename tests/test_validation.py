@@ -6,26 +6,26 @@ import pytest
 from ineqbridge import (BiasQuery, DiscreteDist, GammaParams, GHypoParams, SimConfig, expected_i_hat, g_hat,
                         gamma_gini, gamma_hoover, gamma_index, gamma_sample, ghypo_cdf, h_hat, i_hat, i_hat_fast,
                         run_scenario, tilting_lemma_check)
-from ineqbridge._checks import check_count
+from ineqbridge._checks import check_count, check_points
 from ineqbridge.index_core import lambda_grid
 from ineqbridge.specfun import reg_gamma_q
 
 E = GammaParams(1.0, 1.0)
-GOOD = {"alpha": 2.0, "lam": 0.5, "n": 10, "count": 10, "grid_size": 5, "draws": 10, "a": 1.0, "z": 1.0}
+GOOD = {"alpha": 2.0, "lam": 0.5, "n": 10, "count": 10, "grid_size": 5, "draws": 10, "a": 1.0, "z": 1.0, "seed": 1}
 
-# every entry point that takes a shape, a weight, a sample size, a count or a
-# tilting argument, with the parameters it takes
+# every entry point that takes a shape, a weight, a sample size, a count, a seed
+# or a tilting argument, with the parameters it takes
 ENTRY_POINTS = [
     ("gamma_index", lambda alpha, lam, **_: gamma_index(alpha, lam), {"alpha", "lam"}),
     ("gamma_hoover", lambda alpha, **_: gamma_hoover(alpha), {"alpha"}),
     ("gamma_gini", lambda alpha, **_: gamma_gini(alpha), {"alpha"}),
     ("BiasQuery", lambda alpha, lam, n, **_: BiasQuery(alpha=alpha, lam=lam, n=n), {"alpha", "lam", "n"}),
-    ("SimConfig", lambda alpha, lam, n, **_: SimConfig(alpha=alpha, lam=lam, n=n, reps=10, seed=1),
-     {"alpha", "lam", "n"}),
+    ("SimConfig", lambda alpha, lam, n, seed, **_: SimConfig(alpha=alpha, lam=lam, n=n, reps=10, seed=seed),
+     {"alpha", "lam", "n", "seed"}),
     ("gamma_sample", lambda count, **_: gamma_sample(E, np.random.default_rng(0), count), {"count"}),
     ("lambda_grid", lambda grid_size, **_: lambda_grid(grid_size), {"grid_size"}),
-    ("tilting_lemma_check", lambda a, z, draws, **_: tilting_lemma_check(a, 0.0, 1.0, z, E, E, E, draws),
-     {"a", "z", "draws"}),
+    ("tilting_lemma_check", lambda a, z, draws, seed, **_: tilting_lemma_check(a, 0.0, 1.0, z, E, E, E, draws, seed),
+     {"a", "z", "draws", "seed"}),
 ]
 
 BAD_INPUTS = (
@@ -50,6 +50,9 @@ BAD_INPUTS = (
        ("n", 10 ** 400, f"sample size must be an integer >= 2, got {10 ** 400!r}")]
     + [(param, 10 ** 400, f"{param} must be an integer >= {least}, got {10 ** 400!r}")
        for param, least in (("count", 1), ("grid_size", 2), ("draws", 2))]
+    # a seed is an integer in [0, 2**64), compared exactly
+    + [("seed", bad, f"seed must be a 64-bit unsigned integer, got {bad!r}")
+       for bad in (1.5, -1, 2 ** 64, math.nan, math.inf, None, "3")]
 )
 
 
@@ -138,6 +141,19 @@ def test_bad_array_entry_gives_the_named_message(bad):
         with pytest.raises(ValueError) as exc:
             call([1.0, bad])
         assert str(exc.value) == message.format(repr(bad)), name
+
+
+@pytest.mark.parametrize("make", [set, frozenset, iter, lambda v: (x for x in v)],
+                         ids=["set", "frozenset", "iterator", "generator"])
+def test_point_collections_are_read_as_lists(make):
+    # the items of any collection of numbers, not the collection as one bad point
+    values = [3.0, 1.0, 2.0]
+    assert sorted(check_points(make(values), "x", ndim=1).tolist()) == sorted(values)
+    assert i_hat(make(values), 0.5) == i_hat(values, 0.5)
+    for name, call, message in ARRAY_ENTRY_POINTS:
+        with pytest.raises(ValueError) as exc:
+            call(make([1.0, -1.0]))
+        assert str(exc.value) == message.format("-1.0"), name
 
 
 @pytest.mark.parametrize("call, values", [
