@@ -66,7 +66,8 @@ def check_points(x, name: str, context=None, ndim=None) -> np.ndarray:
     float() refuses ("ten", 10**400) gets the message a non-finite point
     gets.  `context` maps the call's other arguments to their values;
     the message names them, and is formatted only when a point fails.  With
-    `ndim` (0: one number, 1: a list of them), a point that is a sequence fails.
+    `ndim` (0: one number, 1: a list of them), a point that is a sequence fails,
+    and so does one number where a list belongs.
     """
     if isinstance(x, (set, frozenset, Iterator)):  # np.array would hold the container as one object
         x = list(x)
@@ -81,6 +82,9 @@ def check_points(x, name: str, context=None, ndim=None) -> np.ndarray:
     if bad:
         at = ", ".join(f"{k}={v!r}" for k, v in (context or {}).items())
         raise ValueError(f"{name} must be finite and >= 0, got {bad[0]!r}" + (f" at {at}" if at else ""))
-    if ndim is not None and a.ndim > ndim:  # np.array refuses ragged nesting, so every entry has this shape
+    if ndim is not None and a.ndim != ndim:
+        if a.ndim < ndim:
+            raise ValueError(f"{name} must be a list of numbers, got {x!r}")
+        # np.array refuses ragged nesting, so every entry has this shape
         raise ValueError(f"{name} must be one number, got {a[(0,) * ndim].tolist()!r}")
     return a

@@ -64,12 +64,18 @@ def expected_i_hat(q: BiasQuery) -> float:
     with D = specfun._stirling_defect, within 1e-14 relative of 40-digit
     mpmath for alpha from 1e-3 to 1e4 and n from 2 to 4000.  Otherwise the
     integral runs over [0, U*s_q], s_q = n-1+lam, with U the cut of
-    Q(alpha, .) from specfun._gamma_bulk, and breakpoints fence in the falls
-    of its two factors near the gamma sum's mean alpha*s_q: Q(alpha, t/s_q)
-    over s_q*(alpha -+ 8 sqrt(alpha)) and S over 8 of the sum's standard
-    deviations.  Within 5.3e-13 of a 128-node gamma-beta mixture oracle on
-    the 84 cells alpha in {20, 50, 100, 200, 400, 1e3, 1e4} x lam in
-    {0.1, 0.5, 0.9} x n in {3, 10, 40, 120}.
+    Q(alpha, .) from specfun._gamma_bulk, from a first mesh that resolves
+    most integrals in one rule call (87 for the 78 of a seed-1 perfbench
+    bias_table pass): Q(alpha, t/s_q)'s fall at s_q*(alpha -+ 8 sqrt(alpha));
+    the sum's mean alpha*s_q + k sd, k = -8, -4, -2, 0, 2, 4, 8, 16; the first
+    component's mean (n-2) alpha (1-lam) + k sd_1, k = -8, -4, 0, 4, 8, above
+    the sum's lower fence; and below shape 1 the grading s_q 4^-k, k = 0..15,
+    as in gamma_index.  Within 4.1e-12 of 25-digit mpmath
+    (tests/helpers.mp_expected_i_hat) on those 78 cells, and within 3.2e-11
+    on 200 cells of shapes 1e-3 to 20, weights 0.25 to 0.999 and n 3 to 120;
+    within 2.2e-13 of a 128-node gamma-beta mixture oracle on the 84 cells
+    alpha in {20, 50, 100, 200, 400, 1e3, 1e4} x lam in {0.1, 0.5, 0.9} x n
+    in {3, 10, 40, 120}.
     """
     alpha, lam, n = q.alpha, q.lam, q.n
     if lam == 1.0:
@@ -86,10 +92,20 @@ def expected_i_hat(q: BiasQuery) -> float:
     def integrand(t):
         return (1.0 - ghypo_cdf(g, t)) * reg_gamma_q(alpha, np.asarray(t, dtype=float) / scale_q)
 
+    # each split costs a Phi2 and a Q call.  At weights near 1 the sum's density rises over
+    # the first component's narrow width, from the second's density at its origin (a spike
+    # below shape 1, a jump at 1, a kink at 2); below the sum's lower fence S is 1, and each
+    # node past the series budget costs a convolution.  +16 sd splits the upper tail, where
+    # Q(alpha, t/s_q) decays slowly at small shapes
     cut, w = _gamma_bulk(alpha)
     sd_sum = math.sqrt((n - 2) * alpha * (1.0 - lam) ** 2 + alpha * scale_sum ** 2)
-    falls = (scale_q * (alpha - w), scale_q * (alpha + w),
-             alpha * scale_q - 8.0 * sd_sum, alpha * scale_q + 8.0 * sd_sum)
+    mean1, sd1 = (n - 2) * alpha * (1.0 - lam), math.sqrt((n - 2) * alpha) * (1.0 - lam)
+    lo_sum = alpha * scale_q - 8.0 * sd_sum
+    falls = [scale_q * (alpha - w), scale_q * (alpha + w)]
+    falls += [alpha * scale_q + k * sd_sum for k in (-8, -4, -2, 0, 2, 4, 8, 16)]
+    falls += [f for f in (mean1 + k * sd1 for k in (-8, -4, 0, 4, 8)) if f > lo_sum]
+    if alpha < 1.0:
+        falls += [scale_q * 4.0 ** -k for k in range(16)]
     res = integrate_finite(integrand, 0.0, cut * scale_q, abs_tol=_BIAS_ABS_TOL * n * alpha,
                            breakpoints=falls)
     return (1.0 + (lam - 1.0) / n) - res.value / (n * alpha)

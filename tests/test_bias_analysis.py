@@ -8,6 +8,7 @@ from ineqbridge import (
     BiasQuery,
     GammaParams,
     bias,
+    bias_analysis,
     distributions,
     expected_i_hat,
     gamma_gini,
@@ -65,33 +66,38 @@ class TestExpectedIHat:
         assert abs(got - float(oracle)) <= 1e-14 * float(oracle)
 
     @pytest.mark.parametrize("alpha, lam, n, builds, convolutions", [
-        (1.0, 0.75, 120, 2, 13), (0.5, 0.75, 120, 2, 5), (10.0, 0.75, 120, 1, 8), (2.0, 0.999, 40, 3, 120),
-        (1e-3, 0.99, 10, 3, 26),
+        (1.0, 0.75, 120, 1, 3), (0.5, 0.75, 120, 1, 2), (10.0, 0.75, 120, 1, 17), (2.0, 0.999, 40, 1, 100),
+        (1e-3, 0.99, 10, 3, 26), (1e-3, 0.5, 40, 2, 0), (400.0, 0.5, 40, 1, 137), (1e3, 0.5, 40, 1, 151),
+        (1e4, 0.5, 120, 1, 156), (50.0, 0.9, 120, 1, 123), (0.5, 0.9, 40, 1, 3),
     ])
     def test_work_per_cell(self, alpha, lam, n, builds, convolutions, monkeypatch):
         # one Phi2 table per bias integral, rebuilt only when a call needs more diagonals, no
         # convolution past the gamma sum's mass, where its CDF is exactly 1, and one quadrature
-        # rule call per convolution that conditions on a shape >= 1, as the first four cells do;
-        # the last conditions on a shape below 1, in v = (b u)^a, and takes 6 per convolution
+        # rule call per convolution that conditions on a shape >= 1, at (0.5, 0.9, 40) too, where
+        # the first mesh's upper-tail points spare two splits; (1e-3, 0.99, 10) conditions on a
+        # shape below 1, in v = (b u)^a, and takes 6 per convolution.  The bias integral's first
+        # mesh resolves it in one rule call at these cells from shape 1 on, and in 2 to 6 below
         rules = {(1e-3, 0.99, 10): 156}.get((alpha, lam, n), convolutions)
-        counts = {"_phi2_table": 0, "_ghypo_cdf_convolution": 0, "rules": 0}
+        bias_rules = {(0.5, 0.75, 120): 2, (1e-3, 0.99, 10): 5, (1e-3, 0.5, 40): 6}.get((alpha, lam, n), 1)
+        counts = {"_phi2_table": 0, "_ghypo_cdf_convolution": 0, "rules": 0, "bias_rules": 0}
         for module, name in ((specfun, "_phi2_table"), (distributions, "_ghypo_cdf_convolution")):
             def counted(*args, name=name, f=getattr(module, name)):
                 counts[name] += 1
                 return f(*args)
             monkeypatch.setattr(module, name, counted)
 
-        def integrate_counted(f, *args, integrate=distributions.integrate_finite, **kwargs):
-            def rule_call(x):  # each rule call evaluates the integrand once, at all its nodes
-                counts["rules"] += 1
-                return f(x)
-            return integrate(rule_call, *args, **kwargs)
+        for module, key in ((distributions, "rules"), (bias_analysis, "bias_rules")):
+            def integrate_counted(f, *args, integrate=module.integrate_finite, key=key, **kwargs):
+                def rule_call(x):  # each rule call evaluates the integrand once, at all its nodes
+                    counts[key] += 1
+                    return f(x)
+                return integrate(rule_call, *args, **kwargs)
+            monkeypatch.setattr(module, "integrate_finite", integrate_counted)
 
-        monkeypatch.setattr(distributions, "integrate_finite", integrate_counted)
         monkeypatch.setattr(specfun, "_phi2_memo", (None, np.empty(0), None, None))
         expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n))
-        got = (counts["_phi2_table"], counts["_ghypo_cdf_convolution"], counts["rules"])
-        assert got == (builds, convolutions, rules)
+        got = (counts["_phi2_table"], counts["_ghypo_cdf_convolution"], counts["rules"], counts["bias_rules"])
+        assert got == (builds, convolutions, rules, bias_rules)
 
     @pytest.mark.parametrize("alpha, lam, n, oracle", [
         (400.0, 0.5, 40, 0.022239867300),
@@ -105,6 +111,24 @@ class TestExpectedIHat:
         ref = mix_expected_i_hat(alpha, lam, n)
         assert abs(ref - oracle) <= 5e-13
         assert abs(expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n)) - ref) <= 1e-10
+
+    @pytest.mark.parametrize("alpha, lam, n, oracle", [
+        # each value from mp_expected_i_hat(alpha, lam, n) (tests/helpers.py, dps 25), rounded to 13 digits;
+        # below shape 1, Q(alpha, t/s_q) has an infinite slope at t = 0
+        (0.5, 0.9, 40, 0.6076474444334),
+        (0.01, 0.999, 3, 0.9860387512545),
+        (1e-3, 0.5, 40, 0.9840274790772),
+        (1e-3, 0.99, 10, 0.9975606100295),
+        (0.1, 0.999, 120, 0.8827846513481),
+        # the sum's density rises over the first component's narrow width, from a jump at shape 1
+        # and a kink at shape 2
+        (2.0, 0.999, 40, 0.3748125594047),
+        (1.0, 0.999, 40, 0.4997501187322),
+        (1.0, 0.99, 120, 0.4975122719626),
+        (2.0, 0.75, 80, 0.3323373903217),
+    ])
+    def test_matches_stored_oracle(self, alpha, lam, n, oracle):
+        assert abs(expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n)) - oracle) <= 2e-12
 
     @pytest.mark.parametrize("alpha, lam, n", [(1e-3, 0.99, 10), (1e-3, 0.5, 3)])
     def test_small_shapes_match_substitution_oracle(self, alpha, lam, n):

@@ -502,9 +502,11 @@ class TestWorkflowPins:
         assert out.rstrip("\n") == value
 
     @pytest.mark.parametrize("argv, line", [
-        # the series cell with the largest y, and a cell whose gamma sum straddles the series budget
-        ("bias --alpha 0.5 --lambda 0.75 --n 120 --digits 12", "E[I_hat]  0.571598349596"),
-        ("bias --alpha 2 --lambda 0.999 --n 40 --digits 12", "E[I_hat]  0.374812559999"),
+        # equal to their 25-digit mpmath values: the series cell with the largest y, a small-shape
+        # cell, and a cell whose gamma sum straddles the series budget
+        ("bias --alpha 0.5 --lambda 0.75 --n 120 --digits 12", "E[I_hat]  0.571598349577"),
+        ("bias --alpha 0.5 --lambda 0.9 --n 40 --digits 12", "E[I_hat]  0.607647444433"),
+        ("bias --alpha 2 --lambda 0.999 --n 40 --digits 12", "E[I_hat]  0.374812559405"),
         # the Hoover estimator's closed form (mpmath: 0.256661826357868)
         ("bias --alpha 2 --lambda 0 --n 10 --digits 12", "E[I_hat]  0.256661826358"),
     ])

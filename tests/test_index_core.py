@@ -88,9 +88,12 @@ class TestIntegralIndex:
         ({"x_breakpoints": [1.0, math.nan]}, "x_breakpoints must be finite and >= 0, got nan"),
         ({"x_breakpoints": [-1.0, 2.0]}, "x_breakpoints must be finite and >= 0, got -1.0"),
         ({"x_breakpoints": [[1.0, 2.0]]}, "x_breakpoints must be one number, got [1.0, 2.0]"),
+        ({"x_breakpoints": 2.0}, "x_breakpoints must be a list of numbers, got 2.0"),
+        ({"x_breakpoints": 2.0, "x_upper": 3.0}, "x_breakpoints must be a list of numbers, got 2.0"),
         ({"x_upper": math.nan}, "x_upper must be finite and > 0, got nan"),
         ({"x_upper": -1.0}, "x_upper must be finite and > 0, got -1.0"),
-    ], ids=["nan_breakpoint", "negative_breakpoint", "nested_breakpoints", "nan_upper", "negative_upper"])
+    ], ids=["nan_breakpoint", "negative_breakpoint", "nested_breakpoints", "scalar_breakpoint",
+            "scalar_breakpoint_bounded", "nan_upper", "negative_upper"])
     def test_options_are_checked(self, options, message):
         d = DiscreteDist([(1.0, 0.5), (3.0, 0.5)])
         for lam in (0.0, 0.5):
