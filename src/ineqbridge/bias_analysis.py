@@ -37,7 +37,7 @@ __all__ = [
     "TiltingCheck",
 ]
 
-_BIAS_ABS_TOL = 1e-10  # on E[I_hat], so on the integral it is n*alpha times this
+_BIAS_ABS_TOL = 1e-10  # n*alpha times this on the integral, which stops at max(that, 1e-9 of itself)
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,9 @@ def expected_i_hat(q: BiasQuery) -> float:
     1955; DLMF 8.17.20), exp(D(alpha) + D((n-1) alpha) - D(n alpha))/alpha
     with D = specfun._stirling_defect, within 1e-14 relative of 40-digit
     mpmath for alpha from 1e-3 to 1e4 and n from 2 to 4000.  Otherwise the
-    integral runs over [0, U*s_q], s_q = n-1+lam, with U the cut of
-    Q(alpha, .) from specfun._gamma_bulk, from a first mesh that resolves
+    integral over [0, U*s_q], s_q = n-1+lam, U the cut of Q(alpha, .) from
+    specfun._gamma_bulk, is taken to max(1e-10, 1e-9 |integral|/(n alpha))
+    on E, about 5e-10 at (1, 0.75, 120), from a first mesh that resolves
     most integrals in one rule call (87 for the 78 of a seed-1 perfbench
     bias_table pass): Q(alpha, t/s_q)'s fall at s_q*(alpha -+ 8 sqrt(alpha));
     the sum's mean alpha*s_q + k sd, k = -8, -4, -2, 0, 2, 4, 8, 16; the first

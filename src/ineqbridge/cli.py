@@ -2,7 +2,7 @@
 
 Subcommands:
   index     closed-form gamma index values (single weight, grid, or endpoints)
-  estimate  sample measures from a CSV column, with optional path/SVG output
+  estimate  sample measures from a CSV column, with an optional weight path
   bias      analytic expectation and bias of the estimator for gamma samples
   simulate  Monte Carlo grid with CSV and aligned-table output
 
@@ -63,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--format", choices=("table", "csv"), default="table")
     p_est.add_argument("--path", type=int, default=None, metavar="G",
                        help="also emit a G-point weight grid of the estimator")
-    p_est.add_argument("--svg", default=None, metavar="FILE",
-                       help="write the weight path as an SVG line plot (needs --path)")
     p_est.add_argument("--quiet", action="store_true", help="suppress the skipped-row note on stderr")
 
     p_bias = sub.add_parser("bias", help="analytic estimator bias for gamma samples")
@@ -154,47 +152,7 @@ def _read_column(path: str, column: str, quiet: bool) -> list[float]:
     return values
 
 
-def _write_svg(path: str, points) -> None:
-    # minimal static line plot: one polyline, axis ticks at multiples of 0.25
-    width, height = 640, 400
-    left, right, top, bottom = 60.0, 20.0, 20.0, 50.0
-    plot_w = width - left - right
-    plot_h = height - top - bottom
-    ymax = max(v for _, v in points)
-    ymax = 1.05 * ymax if ymax > 0 else 1.0
-
-    def sx(lam: float) -> float:
-        return left + lam * plot_w
-
-    def sy(v: float) -> float:
-        return top + (1.0 - v / ymax) * plot_h
-
-    poly = " ".join(f"{sx(lam):.2f},{sy(v):.2f}" for lam, v in points)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
-    ]
-    for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = sx(tick)
-        parts.append(f'<line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" y2="{top + plot_h + 6}" stroke="black"/>')
-        parts.append(f'<text x="{x:.2f}" y="{top + plot_h + 22}" font-size="12" text-anchor="middle">{tick:g}</text>')
-    for frac in (0.0, 0.5, 1.0):
-        v = frac * ymax
-        yy = sy(v)
-        parts.append(f'<line x1="{left - 6}" y1="{yy:.2f}" x2="{left}" y2="{yy:.2f}" stroke="black"/>')
-        parts.append(f'<text x="{left - 10}" y="{yy + 4:.2f}" font-size="12" text-anchor="end">{v:.3f}</text>')
-    parts.append(f'<polyline fill="none" stroke="steelblue" stroke-width="2" points="{poly}"/>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
 def _cmd_estimate(args) -> int:
-    if args.svg and args.path is None:
-        raise ValueError("--svg requires --path")
     lambdas = sorted(_number_list(args.lambdas, float))
     values = np.array(_read_column(args.input, args.column, args.quiet), dtype=float)
     grid = [] if args.path is None else lambda_grid(args.path)
@@ -204,10 +162,6 @@ def _cmd_estimate(args) -> int:
     *estimates, hoover, gini = i_hat_fast(values, lambdas + grid + [0.0, 1.0]).tolist()
     rows = [("Hoover", hoover)] + [(f"I_{lam:g}", v) for lam, v in zip(lambdas, estimates)]
     rows.append(("Gini", gini))
-    points = list(zip(grid, estimates[len(lambdas):]))
-    # every step that can fail runs before the first line is printed
-    if args.svg:
-        _write_svg(args.svg, points)
     if args.format == "csv":
         print("Measure,Value")
         for name, value in rows:
@@ -219,7 +173,7 @@ def _cmd_estimate(args) -> int:
             print(f"{name:<{name_w}}  {value:.{args.digits}f}")
     if args.path is not None:
         print("lambda,value")
-        for lam, value in points:
+        for lam, value in zip(grid, estimates[len(lambdas):]):
             print(f"{lam:g},{value:.{args.digits}f}")
     return 0
 

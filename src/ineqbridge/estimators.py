@@ -107,7 +107,13 @@ def _row_fsums(a: np.ndarray) -> np.ndarray:
     return out
 
 
+_QUADRATIC_MAX = 1 << 24  # i_hat's pair terms per call, three float arrays of 128 MiB each
+
+
 def _pairs_quadratic(x, n, xbar, lam):
+    if x.size * n > _QUADRATIC_MAX:
+        raise ValueError(f"i_hat sums all n*n pairs, and {len(x)} sample(s) of {n} exceed "
+                         f"{_QUADRATIC_MAX}; use i_hat_fast")
     a = x - (1.0 - lam) * xbar[:, None]
     terms = np.abs(a[:, :, None] - lam * x[:, None, :])
     diag = np.arange(n)
@@ -174,7 +180,8 @@ def g_hat(values) -> float:
 def i_hat(values, lam: float) -> float:
     """Quadratic reference evaluation of the plug-in index estimator.
 
-    The lam = 0 and lam = 1 endpoints are h_hat and g_hat: the same core.
+    The lam = 0 and lam = 1 endpoints are h_hat and g_hat: the same core.  At
+    other weights, R samples of n with R n^2 above 2**24 are refused.
     """
     lam = check_lambda(lam)
     return _estimate(_pairs_sorted if lam in (0.0, 1.0) else _pairs_quadratic, values, 2, lam)

@@ -11,7 +11,7 @@ routine, and near x = s at large shapes Q takes a uniform asymptotic
 expansion whose cost does not grow with s.  Each of Q's routes is one
 bounded pass, as is each Phi2 point's window of O(sqrt(y)) closed-form
 diagonals, so a value depends only on its own arguments.  All functions are
-safe for concurrent callers, and pure but for Phi2's cache of its last table.
+pure, so safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ _BLOCK = 128            # the most terms Q's P series may take, all in one numpy
 _WINDOW_SDS = 11.0      # a Phi2 window reaches this many sqrt(y), plus _WINDOW_PAD diagonals,
 _WINDOW_PAD = 20.0      # to each side of its Poisson weight's peak, where the weight's log has fallen by 60
 _CHUNK = 1 << 16        # Phi2 window elements per numpy pass, which bounds its flat arrays
-# the last (a, c, p) and its _phi2_table arrays, one tuple swapped whole so a reader sees one slot
-_phi2_memo: tuple = (None, np.empty(0), None, None)
 
 # Temme's uniform expansion serves s >= 20 and |x/s - 1| <= 0.3 (see reg_gamma_q).
 _TEMME_MIN_SHAPE = 20.0
@@ -243,7 +241,7 @@ def _phi2_windows(a: float, c: float, p: float, y: np.ndarray) -> tuple[np.ndarr
 
 
 def _phi2_table(a: float, c: float, p: float, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # m = c + s, D(m) and D(m) + ln V(s) for s < top, read-only; entry s depends only on entries 0..s
+    # m = c + s, D(m) and D(m) + ln V(s) for s < top; entry s depends only on entries 0..s
     k = np.arange(1.0, top)
     m = c + np.arange(float(top))
     defect = 0.5 * np.log(m / (2.0 * math.pi)) - _stirling_series(m)  # _stirling_defect at each m
@@ -251,7 +249,6 @@ def _phi2_table(a: float, c: float, p: float, top: int) -> tuple[np.ndarray, np.
     with np.errstate(divide="ignore"):  # ln(1 - p) = -inf at p = 1, where every V(s) is 1
         log_terms = np.cumsum(np.log((a + k - 1.0) / k)) + k * np.log1p(-p)
     table = defect + np.logaddexp.accumulate(np.concatenate(([0.0], log_terms)))
-    m.flags.writeable = defect.flags.writeable = table.flags.writeable = False
     return m, defect, table
 
 
@@ -267,7 +264,7 @@ def log_humbert_phi2(a: float, c: float, p: float, y):
     (1-p)^k/k! being p^-a times the NB(a, p) distribution function
     (Moschopoulos 1985); the series is e^y y^-c Gamma(c) sum_s d_s V(s), with
     d_s = e^-y y^(c+s)/Gamma(c+s) a weight about sqrt(y) wide near y - c.
-    A call reuses the last (a, c, p)'s tables of ln V and of D(c+s), then
+    A call builds tables of ln V and of D(c+s) up to its largest window, then
     sums each point's window of about 22 sqrt(y) + 40 diagonals (more where
     the NB mass lies far past y - c) in closed form; y = 0 gives exactly 0.
     Against 40-digit mpmath at 55 points, from the bias table's arguments
@@ -280,11 +277,7 @@ def log_humbert_phi2(a: float, c: float, p: float, y):
     y = out.flat[pos]
     lo, count = _phi2_windows(a, c, p, y)
     top = int((lo + count).max(initial=1))
-    global _phi2_memo
-    key, m, defect, table = _phi2_memo
-    if key != (a, c, p) or m.size < top:
-        m, defect, table = _phi2_table(a, c, p, top)
-        _phi2_memo = ((a, c, p), m, defect, table)
+    m, defect, table = _phi2_table(a, c, p, top)
     step = max(1, _CHUNK // int(count.max(initial=1)))
     for i in range(0, y.size, step):
         n, s0, yi = count[i:i + step], lo[i:i + step], y[i:i + step]

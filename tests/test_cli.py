@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import xml.etree.ElementTree as ET
 from importlib.resources import files
 from pathlib import Path
 
@@ -191,29 +190,14 @@ class TestEstimateCommand:
         assert lines[0] == "Measure,Value"
         assert lines[2].startswith("I_0.5,")
 
-    def test_path_and_svg(self, tmp_path, capsys):
-        svg = tmp_path / "path.svg"
-        code, out, _ = run_cli(capsys, "estimate", "--input", FIXTURE,
-                               "--column", "gdp_per_capita_ppp", "--path", "9",
-                               "--svg", str(svg), "--quiet")
-        assert code == 0
-        assert "lambda,value" in out
-        root = ET.parse(svg).getroot()
-        assert root.tag.endswith("svg")
-        polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
-        assert len(polylines) == 1
-        assert len(polylines[0].attrib["points"].split()) == 9
-
-    def test_svg_requires_path(self, tmp_path, capsys):
-        # checked before the input is read, and nothing reaches stdout
-        for source in (FIXTURE, str(tmp_path / "missing.csv")):
-            code, out, err = run_cli(capsys, "estimate", "--input", source,
-                                     "--column", "gdp_per_capita_ppp", "--svg",
-                                     str(tmp_path / "x.svg"), "--quiet")
-            assert code == 1
-            assert "--path" in err
-            assert out == ""
-        assert not (tmp_path / "x.svg").exists()
+    def test_svg_is_a_usage_error(self, tmp_path):
+        # the path is CSV output only: --svg is refused before the input is read
+        svg = tmp_path / "x.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", FIXTURE, "--column", "gdp_per_capita_ppp",
+                  "--path", "9", "--svg", str(svg)])
+        assert exc.value.code == 2
+        assert not svg.exists()
 
     def test_bad_path_prints_nothing(self, capsys):
         for size in ("1", "0", "-3"):
@@ -524,6 +508,8 @@ class TestWorkflowPins:
         # every rule call of a small-shape grid, and the bias cell with the most convolutions
         "index --alpha 0.001 --grid 21",
         "bias --alpha 2 --lambda 0.999 --n 40",
+        # the cell that builds the most Phi2 tables, with 26 convolutions in v = (b u)^a
+        "bias --alpha 0.001 --lambda 0.99 --n 10",
     ])
     def test_runs_under_warnings_as_errors(self, argv):
         # every warning an error from start-up on, which only a new interpreter gives

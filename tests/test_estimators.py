@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import types
 import warnings
 
@@ -64,6 +65,25 @@ class TestIHat:
 
     def test_all_zero_convention(self):
         assert i_hat([0.0, 0.0, 0.0], 0.7) == 0.0
+
+    def test_refuses_more_pairs_than_it_can_hold(self, monkeypatch):
+        # R n^2 above 2**24 is refused before the (R, n, n) pair terms are built: each would
+        # take more than 128 MiB, and a 48,500-value sample 18.8 GB
+        tracemalloc.start()
+        try:
+            for shape in ((4097,), (2, 2897), (1025, 128)):
+                with pytest.raises(ValueError, match=r"i_hat sums all n\*n pairs, .* use i_hat_fast$"):
+                    i_hat(np.ones(shape), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert i_hat(np.ones(4097), 1.0) == 0.0  # the endpoints take the sorted core
+        # the boundary, at a cap small enough to reach
+        monkeypatch.setattr(estimators, "_QUADRATIC_MAX", 2 * 7 * 7)
+        assert i_hat(np.ones((2, 7)), 0.5).tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="2 sample[(]s[)] of 8 exceed 98; use i_hat_fast$"):
+            i_hat(np.ones((2, 8)), 0.5)
 
     @pytest.mark.parametrize("est, sample", [
         (g_hat, [1e306] + [1.0] * 999),

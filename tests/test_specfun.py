@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import warnings
 
 import mpmath as mp
@@ -275,59 +273,6 @@ class TestHumbertPhi2:
             y = np.geomspace(1e-4, 4e4 * b_hi / (2.0 * b_hi - b_lo), 200)
             _, count = _phi2_windows(alpha, (n - 1) * alpha + 1.0, b_lo / b_hi, y)
             assert (count <= np.ceil(22.0 * np.sqrt(y) + 40.0) + 26).all(), (alpha, lam, n)
-
-    def test_table_memo_changes_no_value(self, monkeypatch):
-        # one table per (a, c, p), built again only for a new key or for more diagonals
-        builds = []
-        def counted(*args, build=specfun._phi2_table):
-            builds.append(args)
-            return build(*args)
-        monkeypatch.setattr(specfun, "_phi2_table", counted)
-        cold = (None, np.empty(0), None, None)
-        ys = np.array([0.5, 45.0, 320.0, 2e4])
-        for a, c, p in [(3.0, 9.0, 0.15), (0.5, 20.5, 0.05), (10.0, 1191.0, 3e-6)]:
-            monkeypatch.setattr(specfun, "_phi2_memo", cold)
-            alone = [log_humbert_phi2(a, c, p, y) for y in ys]  # a build at each larger y
-            assert len(builds) == 4
-            log_humbert_phi2(a, c, p, 2.0 * ys[-1])
-            warm_larger = [log_humbert_phi2(a, c, p, y) for y in ys]
-            log_humbert_phi2(2.0, 20.5, 0.3, 150.0)
-            warm_other = log_humbert_phi2(a, c, p, ys)
-            assert len(builds) == 7
-            assert warm_larger == alone and warm_other.tolist() == alone, (a, c, p)
-            key, *tables = specfun._phi2_memo
-            assert key == (a, c, p) and not any(t.flags.writeable for t in tables)
-            builds.clear()
-
-    def test_table_memo_under_concurrent_callers(self, monkeypatch):
-        # six threads on two cores, each switching between three keys and four lengths of table,
-        # every value equal to its single-threaded one
-        keys = [(3.0, 9.0, 0.15), (0.5, 20.5, 0.05), (10.0, 1191.0, 3e-6)]
-        ys = [0.5, 45.0, 320.0, 2e3]
-        expected = {(key, y): log_humbert_phi2(*key, y) for key in keys for y in ys}
-        wrong, done = [], []
-
-        def worker(seed):
-            order = list(expected)
-            for i in range(100):
-                key, y = order[(seed * 7 + i * 5) % len(order)]
-                if log_humbert_phi2(*key, y) != expected[key, y]:
-                    wrong.append((key, y))
-            done.append(seed)
-
-        monkeypatch.setattr(specfun, "_phi2_memo", (None, np.empty(0), None, None))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(done) == list(range(6)) and not wrong
 
     def test_points_do_not_depend_on_their_batch(self, monkeypatch):
         # clamped and unclamped windows of different lengths, y = 0, and several chunks
