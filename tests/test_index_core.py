@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ineqbridge import (
 from ineqbridge import index_core
 
 from helpers import mp_gamma_index, random_discrete
+import reference_values
 
 import mpmath as mp
 
@@ -27,6 +30,17 @@ import mpmath as mp
 # direct form s ln s - s - ln Gamma(s) loses 1.2e-14 and 1.5e-14 in the Hoover and Gini
 # values, and large shapes, where it cancels
 _CLOSED_FORM_SHAPES = (0.5, 7.9, 8.1, 10.0, 12.12, 13.28, 17.9, 18.1, 1e3, 1e5, 1e7, 1e10, 1e12)
+
+# (shape, weight, digits) of the mpmath gamma index oracle, whose values make_reference_values.py
+# stores in reference_values.GAMMA_INDEX_ORACLE (read at test time, as that script imports this
+# list).  At 15 digits the oracle is within 2.2e-16 of its 25-digit value at all the small-weight
+# cases and takes about half the time
+_SMALL_WEIGHTS = [(alpha, lam, 15) for alpha in (1e-3, 0.5, 2.0, 50.0, 1e3)
+                  for lam in (1e-8, 1e-6, 1e-4, 1e-3, 0.01)]
+# below shape 1 the first mesh is graded toward s = 0, from shape 1 on it is not
+_GRADING_SWITCH = [(alpha, lam, 15) for alpha in (0.999, 1.001) for lam in (0.05, 0.5, 0.95)]
+_LARGE_SHAPE = [(1e4, lam, 25) for lam in (0.01, 0.5)]
+ORACLE_CASES = _SMALL_WEIGHTS + _GRADING_SWITCH + _LARGE_SHAPE
 
 
 def _discrete_integral(d: DiscreteDist, lam: float) -> float:
@@ -139,24 +153,30 @@ class TestGammaClosedForms:
         assert gamma_index(2.0, 1e-4) == pytest.approx(gamma_hoover(2.0), abs=1e-8)
 
     def test_small_weights_match_oracle(self):
-        # at 15 digits the oracle is within 2.2e-16 of its 25-digit value at all 25
-        # points and takes about half the time
-        for alpha in (1e-3, 0.5, 2.0, 50.0, 1e3):
-            for lam in (1e-8, 1e-6, 1e-4, 1e-3, 0.01):
-                ref = mp_gamma_index(alpha, lam, dps=15)
-                assert gamma_index(alpha, lam) == pytest.approx(ref, abs=1e-10)
+        for alpha, lam, dps in _SMALL_WEIGHTS:
+            ref = reference_values.GAMMA_INDEX_ORACLE[alpha, lam, dps]
+            assert gamma_index(alpha, lam) == pytest.approx(ref, abs=1e-10)
 
     def test_both_sides_of_the_grading_switch_match_oracle(self):
-        # below shape 1 the first mesh is graded toward s = 0, from shape 1 on it is not
-        for alpha in (0.999, 1.001):
-            for lam in (0.05, 0.5, 0.95):
-                ref = mp_gamma_index(alpha, lam, dps=15)
-                assert gamma_index(alpha, lam) == pytest.approx(ref, abs=1e-10)
+        for alpha, lam, dps in _GRADING_SWITCH:
+            ref = reference_values.GAMMA_INDEX_ORACLE[alpha, lam, dps]
+            assert gamma_index(alpha, lam) == pytest.approx(ref, abs=1e-10)
+
+    def test_stored_oracle_holds_exactly_the_cases(self):
+        # a case added, dropped or moved to other digits needs make_reference_values.py run again
+        assert sorted(reference_values.GAMMA_INDEX_ORACLE) == sorted(ORACLE_CASES)
+        assert len(ORACLE_CASES) == len(set(ORACLE_CASES)) == 33
+
+    def test_stored_oracle_matches_a_fresh_evaluation(self):
+        # a change to helpers.mp_gamma_index needs the table written again: one cheap case recomputed
+        alpha, lam, dps = 0.5, 1e-6, 15
+        assert reference_values.GAMMA_INDEX_ORACLE[alpha, lam, dps] == mp_gamma_index(alpha, lam, dps=dps)
 
     def test_each_value_takes_few_q_calls(self, monkeypatch):
-        # the first mesh resolves the integrand, so the adaptive loop seldom splits, and
+        # the first mesh resolves the integrand, so the adaptive loop does not split, and
         # Q(alpha, c) rides in the integrand's one Q call; a value that bisects toward a
-        # feature one interval per call made up to 59
+        # feature one interval per call made up to 59, and one whose mesh left the upper
+        # tail whole up to 5
         calls = []
 
         def counting_q(s, x):
@@ -171,13 +191,23 @@ class TestGammaClosedForms:
                 gamma_index(alpha, lam)
                 total += len(calls)
                 most = max(most, (len(calls), (alpha, lam)))
-        assert most[0] <= 5, most
-        # the grid's work, 450 calls when this was written: pinned within 10 %
-        assert 405 <= total <= 495, total
+        assert most[0] <= 1, most
+        # the grid's work, 190 calls when this was written: pinned within 10 %
+        assert 171 <= total <= 209, total
 
     def test_large_shape_matches_oracle(self):
-        for lam in (0.01, 0.5):
-            assert gamma_index(1e4, lam) == pytest.approx(mp_gamma_index(1e4, lam), abs=1e-10)
+        for alpha, lam, dps in _LARGE_SHAPE:
+            ref = reference_values.GAMMA_INDEX_ORACLE[alpha, lam, dps]
+            assert gamma_index(alpha, lam) == pytest.approx(ref, abs=1e-10)
+
+    def test_grid_matches_30_digit_references(self):
+        # the index_grid benchmark's mpmath references for the 10 shapes and 21 weights of
+        # `index --grid 21`; the mesh without the tail cuts was 1.66e-12 off at (5, 0.75)
+        path = Path(__file__).parents[1] / "perfbench" / "reference" / "index_grid.json"
+        rows = json.loads(path.read_text())["values"]
+        assert len(rows) == 210
+        for alpha, lam, value, _ in rows:
+            assert abs(gamma_index(alpha, lam) - value) <= 1e-13, (alpha, lam)
 
     @pytest.mark.parametrize("alpha", [3e8, 1e9, 1e10])
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.9, 1.0])
