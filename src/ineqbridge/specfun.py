@@ -9,13 +9,15 @@ Everything is arranged so that summed series have non-negative terms and
 large prefactors live in log space: shape parameters beyond a thousand are
 routine, and near x = s at large shapes Q takes a uniform asymptotic
 expansion whose cost does not grow with s.  Each of Q's routes is one
-bounded pass, as is each Phi2 point's window of O(sqrt(y)) closed-form
+bounded pass, the power series one per group of up to 256 points taken in
+order of x, as is each Phi2 point's window of O(sqrt(y)) closed-form
 diagonals, so a value depends only on its own arguments.  All functions are
 pure, so safe for concurrent callers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,7 +30,8 @@ __all__ = [
 
 _REL_EPS = 1e-16        # a term this small relative to the sum is negligible
 _STREAK = 3             # consecutive negligible terms required to stop
-_BLOCK = 128            # the most terms Q's P series may take, all in one numpy pass
+_BLOCK = 128            # the most terms Q's P series may take
+_GROUP = 256            # the most P series points in one numpy pass, sized by their largest x
 _WINDOW_SDS = 11.0      # a Phi2 window reaches this many sqrt(y), plus _WINDOW_PAD diagonals,
 _WINDOW_PAD = 20.0      # to each side of its Poisson weight's peak, where the weight's log has fallen by 60
 _CHUNK = 1 << 16        # Phi2 window elements per numpy pass, which bounds its flat arrays
@@ -118,32 +121,42 @@ def _log_gamma_prefactor(s: float, x: np.ndarray) -> np.ndarray:
     return _stirling_defect(s) + s * (log_ratio - u)
 
 
-def _gamma_p_series(s: float, x: np.ndarray) -> np.ndarray:
-    # lower regularized P(s,x) = e^-x x^s/Gamma(s) sum_k x^k/(s)_(k+1) (DLMF 8.7.1) in one numpy
-    # pass, a row per term; a point stops at its third consecutive term below _REL_EPS of its sum.
-    # Term k's share of the sum up to k, 1/sum_{j<=k} prod_{j<i<=k} (s+i)/x, grows with x, so the
-    # largest x stops last: its stop row, found with the same arithmetic, sizes the pass, which on
-    # the series domain (x < max(s+1, 5), and x < 0.7s at s >= 20) needs at most 102 rows
-    def partial_sums(xs, rows):
-        k = np.arange(1.0, rows + 1.0)[:, None]
-        first = np.full(xs.shape, 1.0 / s)
-        terms = first * np.cumprod(xs / (s + k), axis=0)
-        totals = np.cumsum(np.vstack((first, terms)), axis=0)[1:]
-        negligible = terms < _REL_EPS * totals
-        # the row at which a point's _STREAK-th consecutive negligible term ends, where it has one
-        stop = np.logical_and.reduce([negligible[d:rows - _STREAK + 1 + d] for d in range(_STREAK)])
-        done = stop.any(axis=0)
-        return totals, done, stop[:, done].argmax(axis=0) + (_STREAK - 1)
+def _series_partial_sums(s: float, x: np.ndarray, rows: int):
+    # P's series at each x to `rows` terms, a row per term: the partial sums, whether each point
+    # stopped, and (meaningful where it did) the row ending its _STREAK-th consecutive negligible term
+    k = np.arange(1.0, rows + 1.0)[:, None]
+    first = np.full(x.shape, 1.0 / s)
+    terms = first * np.cumprod(x / (s + k), axis=0)
+    totals = np.cumsum(np.vstack((first, terms)), axis=0)[1:]
+    negligible = terms < _REL_EPS * totals
+    stop = functools.reduce(np.logical_and, [negligible[d:rows - _STREAK + 1 + d] for d in range(_STREAK)])
+    return totals, stop.any(axis=0), stop.argmax(axis=0) + (_STREAK - 1)
 
-    top = x.max(keepdims=True)
-    _, done, row = partial_sums(top, _BLOCK)
+
+def _gamma_p_series(s: float, x: np.ndarray) -> np.ndarray:
+    # lower regularized P(s,x) = e^-x x^s/Gamma(s) sum_k x^k/(s)_(k+1) (DLMF 8.7.1); a point stops
+    # at its third consecutive term below _REL_EPS of its sum. Term k's share of the sum up to k,
+    # 1/sum_{j<=k} prod_{j<i<=k} (s+i)/x, grows with x, so a larger x stops later: the points, sorted
+    # by x, run in groups of at most _GROUP, each in one pass sized by the stop row of its largest x,
+    # which one probe pass finds for all groups. A point's sums are the same in any group, and on the
+    # series domain (x < max(s+1, 5), and x < 0.7s at s >= 20) a pass needs at most 102 rows
+    order = np.argsort(x)
+    starts = range(0, x.size, _GROUP)
+    tops = order[[min(i + _GROUP, x.size) - 1 for i in starts]]
+    _, done, top_rows = _series_partial_sums(s, x[tops], _BLOCK)
+    out = np.empty_like(x)
     if done.all():
-        totals, done, row = partial_sums(x, int(row[0]) + 1)
+        for i, top_row in zip(starts, top_rows.tolist()):
+            group = order[i:i + _GROUP]
+            totals, done, row = _series_partial_sums(s, x[group], top_row + 1)
+            if not done.all():
+                break
+            out[group] = totals[row, np.arange(row.size)]
     if not done.all():
         raise RuntimeError(
-            f"incomplete gamma series did not stop within {_BLOCK} terms (s={s}, max x={float(top[0])})"
+            f"incomplete gamma series did not stop within {_BLOCK} terms (s={s}, max x={float(x[tops[-1]])})"
         )
-    return np.exp(_log_gamma_prefactor(s, x)) * totals[row, np.arange(x.size)]
+    return np.exp(_log_gamma_prefactor(s, x)) * out
 
 
 def _gamma_q_contfrac(s: float, x: np.ndarray) -> np.ndarray:
@@ -188,8 +201,9 @@ def reg_gamma_q(s: float, x):
       whose cost does not grow with s; within 5e-16 (worst seen 1.1e-16)
       for s from 20 to 1e10.
     - any other x < max(s+1, 5): the power series of P = 1 - Q (DLMF
-      8.7.1), summed in one numpy pass of at most 102 terms, each point
-      stopping at three terms below 1e-16 of its sum;
+      8.7.1), its points sorted by x and summed in groups of at most 256,
+      each in one numpy pass of at most 102 terms sized by its largest x,
+      a point stopping at three terms below 1e-16 of its sum;
     - any other x >= max(s+1, 5): Legendre's continued fraction (DLMF
       8.9.2), evaluated backward from a fixed depth of 26, within 3.3e-16
       relative of the fraction's limit at every shape.

@@ -1,37 +1,54 @@
-"""Recompute the stored mpmath values of the gamma index oracle tests.
+"""Recompute the stored mpmath values of the oracle tests.
 
 Run from the repository root as
 
     PYTHONPATH=src python tests/make_reference_values.py
 
 It evaluates helpers.mp_gamma_index at each (shape, weight, digits) case of
-test_index_core.ORACLE_CASES and rewrites the GAMMA_INDEX_ORACLE table at the
-end of tests/reference_values.py with the results; the rest of that file is
-left as it is.
+test_index_core.ORACLE_CASES, helpers.mp_reg_q at each (s, x) case of
+test_specfun.HUGE_SHAPE_CASES and helpers.mp_expected_i_hat at each
+(shape, weight, n) case of test_bias_analysis.SUBSTITUTION_CASES, and
+rewrites the GAMMA_INDEX_ORACLE, REG_GAMMA_Q_ORACLE and EXPECTED_I_HAT_ORACLE
+tables at the end of tests/reference_values.py with the results; the rest of
+that file is left as it is.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from helpers import mp_gamma_index
+from helpers import mp_expected_i_hat, mp_gamma_index, mp_reg_q
+from test_bias_analysis import SUBSTITUTION_CASES
 from test_index_core import ORACLE_CASES
+from test_specfun import HUGE_SHAPE_CASES
 
 MARKER = "# gamma_index oracle values"
 TARGET = Path(__file__).with_name("reference_values.py")
 
 
+def _table(comment: list[str], name: str, rows) -> list[str]:
+    return comment + [f"{name} = {{"] + [f"    {key!r}: {value!r}," for key, value in rows] + ["}"]
+
+
 def main() -> None:
     head = TARGET.read_text().split(MARKER)[0].rstrip("\n")
-    lines = [
-        MARKER + ": helpers.mp_gamma_index(shape, weight, dps=digits), keyed by",
-        "# (shape, weight, digits); written by make_reference_values.py",
-        "GAMMA_INDEX_ORACLE = {",
-    ]
-    for alpha, lam, dps in ORACLE_CASES:
-        lines.append(f"    ({alpha!r}, {lam!r}, {dps}): {mp_gamma_index(alpha, lam, dps=dps)!r},")
-    lines.append("}")
-    TARGET.write_text(head + "\n\n" + "\n".join(lines) + "\n")
+    gamma_index = _table(
+        [MARKER + ": helpers.mp_gamma_index(shape, weight, dps=digits), keyed by",
+         "# (shape, weight, digits); written by make_reference_values.py"],
+        "GAMMA_INDEX_ORACLE",
+        [(case, mp_gamma_index(*case[:2], dps=case[2])) for case in ORACLE_CASES])
+    reg_q = _table(
+        ["# reg_gamma_q oracle values: helpers.mp_reg_q(s, x) at 50 digits, keyed by (s, x);",
+         "# written by make_reference_values.py"],
+        "REG_GAMMA_Q_ORACLE",
+        [(case, mp_reg_q(*case)) for case in HUGE_SHAPE_CASES])
+    i_hat = _table(
+        ["# E[I_hat] oracle values: helpers.mp_expected_i_hat(shape, weight, n) at 25 digits, keyed by",
+         "# (shape, weight, n); written by make_reference_values.py"],
+        "EXPECTED_I_HAT_ORACLE",
+        [(case, mp_expected_i_hat(*case)) for case in SUBSTITUTION_CASES])
+    tables = "\n\n".join("\n".join(lines) for lines in (gamma_index, reg_q, i_hat))
+    TARGET.write_text(head + "\n\n" + tables + "\n")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,13 @@ from ineqbridge import (
     tilting_lemma_check,
 )
 
-from helpers import analytic_bias_table, mix_expected_i_hat, mp_beta_expect, mp_expected_i_hat, tilting_agrees
+from helpers import analytic_bias_table, mix_expected_i_hat, mp_beta_expect, tilting_agrees
+import reference_values
 from reference_values import MC_REFERENCE
+
+# (shape, weight, n) of the substitution oracle, whose 25-digit helpers.mp_expected_i_hat values
+# make_reference_values.py stores in reference_values.EXPECTED_I_HAT_ORACLE
+SUBSTITUTION_CASES = [(1e-3, 0.99, 10), (1e-3, 0.5, 3)]
 
 
 class TestBiasQuery:
@@ -127,13 +132,18 @@ class TestExpectedIHat:
     def test_matches_stored_oracle(self, alpha, lam, n, oracle):
         assert abs(expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n)) - oracle) <= 2e-12
 
-    @pytest.mark.parametrize("alpha, lam, n", [(1e-3, 0.99, 10), (1e-3, 0.5, 3)])
+    @pytest.mark.parametrize("alpha, lam, n", SUBSTITUTION_CASES)
     def test_small_shapes_match_substitution_oracle(self, alpha, lam, n):
         # (1e-3, 0.99, 10) needs the gamma-sum convolution below shape 1; at (1e-3, 0.5, 3)
         # E[I_hat] is the integral divided by n*alpha = 3e-3, so the quadrature's tolerance
         # must be scaled by it
         got = expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n))
-        assert abs(got - mp_expected_i_hat(alpha, lam, n)) <= 1e-10
+        assert abs(got - reference_values.EXPECTED_I_HAT_ORACLE[alpha, lam, n]) <= 1e-10
+
+    def test_stored_oracle_holds_exactly_the_cases(self):
+        # a case added, dropped or moved needs make_reference_values.py run again
+        assert sorted(reference_values.EXPECTED_I_HAT_ORACLE) == sorted(SUBSTITUTION_CASES)
+        assert len(SUBSTITUTION_CASES) == len(set(SUBSTITUTION_CASES)) == 2
 
 
 class TestBetaOracle:

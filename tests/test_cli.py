@@ -476,11 +476,13 @@ class TestWorkflowPins:
         # the closed forms at a tiny shape, where forms through ln Gamma(alpha) read 1 + 2.4e-14 and 1 + 6.1e-14
         ("index --alpha 1e-300 --hoover --digits 17", "1.00000000000000000"),
         ("index --alpha 1e-300 --gini --digits 17", "1.00000000000000000"),
-        # equal to their 30-digit mpmath references: a large shape, a small one and a moderate
-        # one, which an earlier first mesh left 1.7e-12 off (0.217746349572)
+        # equal to their 30-digit mpmath references: a large shape, a small one, a moderate one,
+        # which an earlier first mesh left 1.7e-12 off (0.217746349572), and one between shapes 1
+        # and 2, which an ungraded first mesh left 9.8e-12 off (0.470518817818)
         ("index --alpha 1e4 --lambda 0.5 --digits 12", "0.004460263606"),
         ("index --alpha 0.001 --lambda 0.5 --digits 12", "0.995065553492"),
         ("index --alpha 5 --lambda 0.75 --digits 12", "0.217746349570"),
+        ("index --alpha 1.167 --lambda 0.999999 --digits 12", "0.470518817828"),
     ])
     def test_index_values(self, capsys, argv, value):
         code, out, _ = run_cli(capsys, *argv.split())

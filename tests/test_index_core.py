@@ -18,7 +18,7 @@ from ineqbridge import (
     reg_gamma_q,
 )
 
-from ineqbridge import index_core
+from ineqbridge import index_core, specfun
 
 from helpers import mp_gamma_index, random_discrete
 import reference_values
@@ -37,10 +37,15 @@ _CLOSED_FORM_SHAPES = (0.5, 7.9, 8.1, 10.0, 12.12, 13.28, 17.9, 18.1, 1e3, 1e5, 
 # cases and takes about half the time
 _SMALL_WEIGHTS = [(alpha, lam, 15) for alpha in (1e-3, 0.5, 2.0, 50.0, 1e3)
                   for lam in (1e-8, 1e-6, 1e-4, 1e-3, 0.01)]
-# below shape 1 the first mesh is graded toward s = 0, from shape 1 on it is not
-_GRADING_SWITCH = [(alpha, lam, 15) for alpha in (0.999, 1.001) for lam in (0.05, 0.5, 0.95)]
+# below shape 2 the first mesh is graded toward s = 0, except at shape 1: both sides of 1 and of 2
+_GRADING_SWITCH = [(alpha, lam, 15) for alpha in (0.999, 1.001, 1.999, 2.001) for lam in (0.05, 0.5, 0.95)]
 _LARGE_SHAPE = [(1e4, lam, 25) for lam in (0.01, 0.5)]
-ORACLE_CASES = _SMALL_WEIGHTS + _GRADING_SWITCH + _LARGE_SHAPE
+# shapes between 1 and 2, where Q(alpha, s) ~ 1 - s^alpha/Gamma(alpha+1) has an unbounded second
+# derivative at 0: an ungraded mesh bisected toward 0 one Q call at a time, up to 6, and was up to
+# 9.8e-12 off
+_BETWEEN_ONE_AND_TWO = [(1.167, 0.999999, 30), (1.378, 0.999, 30), (1.778, 0.99, 30), (1.5, 0.5, 30),
+                        (1.05, 0.9, 30)]
+ORACLE_CASES = _SMALL_WEIGHTS + _GRADING_SWITCH + _LARGE_SHAPE + _BETWEEN_ONE_AND_TWO
 
 
 def _discrete_integral(d: DiscreteDist, lam: float) -> float:
@@ -165,18 +170,15 @@ class TestGammaClosedForms:
     def test_stored_oracle_holds_exactly_the_cases(self):
         # a case added, dropped or moved to other digits needs make_reference_values.py run again
         assert sorted(reference_values.GAMMA_INDEX_ORACLE) == sorted(ORACLE_CASES)
-        assert len(ORACLE_CASES) == len(set(ORACLE_CASES)) == 33
+        assert len(ORACLE_CASES) == len(set(ORACLE_CASES)) == 44
 
     def test_stored_oracle_matches_a_fresh_evaluation(self):
         # a change to helpers.mp_gamma_index needs the table written again: one cheap case recomputed
         alpha, lam, dps = 0.5, 1e-6, 15
         assert reference_values.GAMMA_INDEX_ORACLE[alpha, lam, dps] == mp_gamma_index(alpha, lam, dps=dps)
 
-    def test_each_value_takes_few_q_calls(self, monkeypatch):
-        # the first mesh resolves the integrand, so the adaptive loop does not split, and
-        # Q(alpha, c) rides in the integrand's one Q call; a value that bisects toward a
-        # feature one interval per call made up to 59, and one whose mesh left the upper
-        # tail whole up to 5
+    @pytest.fixture
+    def q_calls(self, monkeypatch):
         calls = []
 
         def counting_q(s, x):
@@ -184,16 +186,49 @@ class TestGammaClosedForms:
             return reg_gamma_q(s, x)
 
         monkeypatch.setattr(index_core, "reg_gamma_q", counting_q)
+        return calls
+
+    def test_each_value_takes_few_q_calls(self, q_calls):
+        # the first mesh resolves the integrand, so the adaptive loop does not split, and
+        # Q(alpha, c) rides in the integrand's one Q call; a value that bisects toward a
+        # feature one interval per call made up to 59, and one whose mesh left the upper
+        # tail whole up to 5
         most, total = (0, ()), 0
         for alpha in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e3, 1e4):
             for lam in index_core.lambda_grid(21):
-                calls.clear()
+                q_calls.clear()
                 gamma_index(alpha, lam)
-                total += len(calls)
-                most = max(most, (len(calls), (alpha, lam)))
+                total += len(q_calls)
+                most = max(most, (len(q_calls), (alpha, lam)))
         assert most[0] <= 1, most
         # the grid's work, 190 calls when this was written: pinned within 10 %
         assert 171 <= total <= 209, total
+
+    def test_shapes_between_one_and_two_take_one_q_call(self, q_calls):
+        for alpha, lam, dps in _BETWEEN_ONE_AND_TWO:
+            q_calls.clear()
+            got = gamma_index(alpha, lam)
+            assert len(q_calls) == 1, (alpha, lam, len(q_calls))
+            assert abs(got - reference_values.GAMMA_INDEX_ORACLE[alpha, lam, dps]) <= 1e-14, (alpha, lam)
+
+    def test_grid_series_cells(self, monkeypatch):
+        # the P series' work on the 190 interior grid values, rows x points summed over its passes
+        # sized by each group's largest x (the 128-row probe of the group tops not counted): one
+        # pass per call sized by the call's largest x filled 2,115,424 cells, the x-sorted groups
+        # of at most 256 points 1,381,216 when this was written, pinned within 10 %
+        cells = []
+        partial_sums = specfun._series_partial_sums
+
+        def counting(s, x, rows):
+            if rows != specfun._BLOCK:
+                cells.append(rows * x.size)
+            return partial_sums(s, x, rows)
+
+        monkeypatch.setattr(specfun, "_series_partial_sums", counting)
+        for alpha in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e3, 1e4):
+            for lam in index_core.lambda_grid(21)[1:-1]:
+                gamma_index(alpha, lam)
+        assert 1_243_094 <= sum(cells) <= 1_519_338, (sum(cells), len(cells))
 
     def test_large_shape_matches_oracle(self):
         for alpha, lam, dps in _LARGE_SHAPE:

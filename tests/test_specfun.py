@@ -10,9 +10,15 @@ from ineqbridge import reg_gamma_q, specfun
 from ineqbridge.specfun import _BLOCK, _TEMME_D, _gamma_bulk, _phi2_windows, log_humbert_phi2
 
 from helpers import erfc_series, gamma_series_stop_term, mp_phi2_unit, mp_reg_q, mp_temme_coefficients
+import reference_values
 
 # frozen oracle outputs (recomputed below to guard the freeze itself)
 ERFC_1 = 0.15729920705028513
+
+# (s, x) of the huge-shape Q oracle, whose 50-digit helpers.mp_reg_q values make_reference_values.py
+# stores in reference_values.REG_GAMMA_Q_ORACLE
+HUGE_SHAPE_CASES = [(s, x) for s in (1e6, 1e8, 1e10)
+                    for x in (s - 3.0 * math.sqrt(s), s, s + 3.0 * math.sqrt(s))]
 
 
 class TestLogGammaPrefactor:
@@ -121,9 +127,14 @@ class TestRegGammaQ:
 
     def test_huge_shapes(self):
         # near x = s the P series would need more terms than its cap allows at s = 1e10
-        for s in (1e6, 1e8, 1e10):
-            for x in (s - 3.0 * math.sqrt(s), s, s + 3.0 * math.sqrt(s)):
-                assert reg_gamma_q(s, x) == pytest.approx(mp_reg_q(s, x), abs=5e-16), (s, x)
+        for s, x in HUGE_SHAPE_CASES:
+            ref = reference_values.REG_GAMMA_Q_ORACLE[s, x]
+            assert reg_gamma_q(s, x) == pytest.approx(ref, abs=5e-16), (s, x)
+
+    def test_stored_oracle_holds_exactly_the_cases(self):
+        # a case added, dropped or moved needs make_reference_values.py run again
+        assert sorted(reference_values.REG_GAMMA_Q_ORACLE) == sorted(HUGE_SHAPE_CASES)
+        assert len(HUGE_SHAPE_CASES) == len(set(HUGE_SHAPE_CASES)) == 9
 
     def test_monotone_across_temme_switches(self):
         for s in (20.0, 1e3, 1e4):
@@ -155,13 +166,19 @@ class TestRegGammaQ:
             assert (np.diff(reg_gamma_q(s, xs)) <= 1e-15).all(), s
 
     def test_series_points_do_not_depend_on_their_batch(self):
-        for s in (1e-3, 0.5, 3.9, 12.0):
-            x = np.array([1e-6, 0.02, 0.7, 2.0, 4.9, s + 0.9, 0.3 * s])
-            assert (x < max(s + 1.0, 5.0)).all()
-            together = reg_gamma_q(s, x)
-            for xi, got in zip(x, together):
-                assert got == reg_gamma_q(s, xi), (s, xi)
-            assert np.array_equal(reg_gamma_q(s, x[::-1]), together[::-1])
+        # a few points in one group of the series' x-sorted passes, then a shuffled batch of
+        # 2,000 more that spans several groups, each sized by its own largest x
+        rng = np.random.default_rng(39)
+        for s in (1e-3, 0.5, 3.9, 12.0, 19.9):
+            reach = max(s + 1.0, 5.0)
+            few = np.array([1e-6, 0.02, 0.7, 2.0, 4.9, s + 0.9, 0.3 * s])
+            many = rng.permutation(np.concatenate((few, reach * rng.random(2000) ** 2)))
+            for x in (few, many):
+                assert (x < reach).all()
+                together = reg_gamma_q(s, x)
+                for xi, got in zip(x, together):
+                    assert got == reg_gamma_q(s, xi), (s, xi)
+                assert np.array_equal(reg_gamma_q(s, x[::-1]), together[::-1])
 
     def test_fraction_points_do_not_depend_on_their_batch(self):
         for s in (1e-3, 0.5, 3.9, 12.0, 50.0, 1e4):
@@ -172,8 +189,9 @@ class TestRegGammaQ:
             assert np.array_equal(reg_gamma_q(s, x[::-1]), together[::-1])
 
     def test_series_stops_within_one_pass(self):
-        # the series serves x < max(s + 1, 5), and at s >= 20 only x < 0.7 s; its largest x
-        # stops last and sizes the one pass, which must end within _BLOCK rows everywhere
+        # the series serves x < max(s + 1, 5), and at s >= 20 only x < 0.7 s; a larger x stops
+        # later, so the largest x of each group of x-sorted points sizes that group's pass, which
+        # must end within _BLOCK rows everywhere
         worst = 0
         for s in np.geomspace(1e-6, 1e12, 73):
             reach = max(s + 1.0, 5.0) if s < 20.0 else 0.7 * s
