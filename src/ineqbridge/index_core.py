@@ -107,14 +107,14 @@ def gamma_index(alpha: float, lam: float) -> float:
     40 sqrt(alpha) + 40, past which int_U^inf Q(alpha, s) ds is below 1e-22 at every
     shape.  The first mesh splits the falls alpha -+ w (w = 8 sqrt(alpha)) in steps of w/4 and
     alpha -+ w/lam in steps of w/(2 lam), halves [0, alpha], cuts [alpha + w, U] at (k/8)^2 of
-    its length, k = 1..7, and below shape 2, except at shape 1, grades [0, 1] by 4^-k, k = 0..15,
-    toward the s^alpha corner at 0; over the 10 shapes 1e-3 to 1e4 and 21 weights of `index --grid
-    21` each value then takes one Q call, 190 in all, as do five values at shapes 1.05 to 1.778,
-    within 8.3e-16 of 30-digit references.  Checked against a 25-digit oracle within 1e-10: worst
-    2.2e-16 for shapes 1e-3 to 1e3 and weights 1e-8 to 0.01, and 1.2e-17 at shape 1e4 for
-    weights 0.01 and 0.5; those 210 grid values are within 1.2e-14 of 30-digit references.  At
-    shapes 3e8, 1e9 and 1e10 and weights 0, 0.1, 0.5, 0.9 and 1 it is within 4.2e-10 relative
-    of the normal limit sqrt((1+lam^2)/(2 pi alpha)).
+    its length, k = 1..7, and grades [0, 1] toward the s^alpha corner at 0 by specfun._gamma_bulk's
+    corner points, 4^-k, k = 0..15, below shape 2 except at 1; over the 10 shapes 1e-3 to 1e4 and
+    21 weights of `index --grid 21` each value then takes one Q call, 190 in all, as do five values
+    at shapes 1.05 to 1.778, within 8.3e-16 of 30-digit references.  Checked against a 25-digit
+    oracle within 1e-10: worst 2.2e-16 for shapes 1e-3 to 1e3 and weights 1e-8 to 0.01, and
+    1.2e-17 at shape 1e4 for weights 0.01 and 0.5; those 210 grid values are within 1.2e-14 of
+    30-digit references.  At shapes 3e8, 1e9 and 1e10 and weights 0, 0.1, 0.5, 0.9 and 1 it is
+    within 4.2e-10 relative of the normal limit sqrt((1+lam^2)/(2 pi alpha)).
     """
     alpha = check_positive("shape", alpha)
     lam = check_lambda(lam)
@@ -136,15 +136,11 @@ def gamma_index(alpha: float, lam: float) -> float:
     # the first call should resolve the integrand, as each split costs a call: both factors
     # fall from 1 to 0 near s = alpha, over widths sqrt(alpha) and sqrt(alpha)/lam, where at
     # large shapes a rule on [0, U] has no node, a fall wider than alpha fills [0, alpha], and
-    # bisection walks down the tail one call at a time; below shape 2, Q(alpha, s) ~ 1 -
-    # s^alpha/Gamma(alpha+1) has an unbounded slope or, above shape 1, curvature at 0, which
-    # bisection approaches one interval per call (Q(1, s) = e^-s is smooth)
-    cut, w = _gamma_bulk(alpha)
+    # bisection walks down the tail one call at a time; specfun._gamma_bulk grades the corner at 0
+    cut, w, corner = _gamma_bulk(alpha)
     mesh = [alpha / 2.0] + [alpha + k * w / 4.0 for k in range(-4, 5)]
     mesh += [alpha + k * w / (2.0 * lam) for k in range(-2, 3)]
-    mesh += [alpha + w + (cut - alpha - w) * (k / 8.0) ** 2 for k in range(1, 8)]
-    if alpha < 2.0 and alpha != 1.0:
-        mesh += [4.0 ** -k for k in range(16)]
+    mesh += [alpha + w + (cut - alpha - w) * (k / 8.0) ** 2 for k in range(1, 8)] + corner
     # the tolerance is on the index, not the O(lam) smaller integral: 1e-9 of its bound alpha
     res = integrate_finite(integrand, 0.0, cut, max(1e-11, 1e-9 * alpha), breakpoints=mesh)
     return term1 + lam * res.value / alpha

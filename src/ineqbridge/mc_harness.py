@@ -24,7 +24,7 @@ and `format_table(..., compare_j=True)` read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -143,8 +143,7 @@ def _scenario(config: SimConfig) -> SimSummary:
 
 def run_scenario(config: SimConfig) -> SimSummary:
     """Run one scenario and summarize the replications against the truth."""
-    # an equal config (-0.0 == 0.0) may have filled the memo; report this one
-    return replace(_scenario(config), config=config)
+    return _scenario(config)
 
 
 def run_grid(grid) -> list:

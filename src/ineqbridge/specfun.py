@@ -235,11 +235,15 @@ def reg_gamma_q(s: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _gamma_bulk(s: float) -> tuple[float, float]:
-    # (U, w), where a Gamma(s) has its mass: Q(s, x) falls from 1 to 0 within s -+ w, Q(s, U) < 1e-22
-    # (3.4e-23 at most, s from 1e-10 to 1e10) and int_U^inf Q(s, x) dx < 1e-22; at rate b: U/b, w/b
+def _gamma_bulk(s: float) -> tuple[float, float, list[float]]:
+    # (U, w, corner), where a Gamma(s) has its mass: Q(s, x) falls from 1 to 0 within s -+ w, Q(s, U)
+    # < 1e-22 (3.4e-23 at most, s from 1e-10 to 1e10) and int_U^inf Q(s, x) dx < 1e-22; at rate b: U/b,
+    # w/b.  Below shape 2, except at 1 (e^-x), Q(s, x) ~ 1 - x^s/Gamma(s+1) and the density have unbounded
+    # derivatives at 0, which bisection nears one piece per rule call: every first mesh over a gamma
+    # factor grades [0, 1] toward 0 by the corner points 4^-k, k = 0..15
     root = math.sqrt(s)
-    return s + 40.0 * root + 40.0, 8.0 * root
+    corner = [4.0 ** -k for k in range(16)] if s < 2.0 and s != 1.0 else []
+    return s + 40.0 * root + 40.0, 8.0 * root, corner
 
 
 def _phi2_windows(a: float, c: float, p: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

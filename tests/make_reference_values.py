@@ -6,19 +6,22 @@ Run from the repository root as
 
 It evaluates helpers.mp_gamma_index at each (shape, weight, digits) case of
 test_index_core.ORACLE_CASES, helpers.mp_reg_q at each (s, x) case of
-test_specfun.HUGE_SHAPE_CASES and helpers.mp_expected_i_hat at each
-(shape, weight, n) case of test_bias_analysis.SUBSTITUTION_CASES, and
-rewrites the GAMMA_INDEX_ORACLE, REG_GAMMA_Q_ORACLE and EXPECTED_I_HAT_ORACLE
-tables at the end of tests/reference_values.py with the results; the rest of
-that file is left as it is.
+test_specfun.HUGE_SHAPE_CASES, helpers.mp_expected_i_hat at each
+(shape, weight, n) case of test_bias_analysis.SUBSTITUTION_CASES and
+CORNER_CASES and helpers.mp_ghypo_cdf at each (a1, b1, a2, b2, t) case of
+test_distributions.CORNER_CASES, and rewrites the GAMMA_INDEX_ORACLE,
+REG_GAMMA_Q_ORACLE, EXPECTED_I_HAT_ORACLE and GHYPO_CDF_ORACLE tables at the
+end of tests/reference_values.py with the results; the rest of that file is
+left as it is.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from helpers import mp_expected_i_hat, mp_gamma_index, mp_reg_q
-from test_bias_analysis import SUBSTITUTION_CASES
+from helpers import mp_expected_i_hat, mp_gamma_index, mp_ghypo_cdf, mp_reg_q
+from test_bias_analysis import CORNER_CASES, SUBSTITUTION_CASES
+from test_distributions import CORNER_CASES as GHYPO_CORNER_CASES
 from test_index_core import ORACLE_CASES
 from test_specfun import HUGE_SHAPE_CASES
 
@@ -46,8 +49,13 @@ def main() -> None:
         ["# E[I_hat] oracle values: helpers.mp_expected_i_hat(shape, weight, n) at 25 digits, keyed by",
          "# (shape, weight, n); written by make_reference_values.py"],
         "EXPECTED_I_HAT_ORACLE",
-        [(case, mp_expected_i_hat(*case)) for case in SUBSTITUTION_CASES])
-    tables = "\n\n".join("\n".join(lines) for lines in (gamma_index, reg_q, i_hat))
+        [(case, mp_expected_i_hat(*case)) for case in SUBSTITUTION_CASES + CORNER_CASES])
+    ghypo = _table(
+        ["# ghypo_cdf oracle values: helpers.mp_ghypo_cdf(a1, b1, a2, b2, t) at 25 digits, keyed by",
+         "# (a1, b1, a2, b2, t); written by make_reference_values.py"],
+        "GHYPO_CDF_ORACLE",
+        [(case, mp_ghypo_cdf(*case)) for case in GHYPO_CORNER_CASES])
+    tables = "\n\n".join("\n".join(lines) for lines in (gamma_index, reg_q, i_hat, ghypo))
     TARGET.write_text(head + "\n\n" + tables + "\n")
 
 

@@ -23,6 +23,11 @@ from reference_values import MC_REFERENCE
 # (shape, weight, n) of the substitution oracle, whose 25-digit helpers.mp_expected_i_hat values
 # make_reference_values.py stores in reference_values.EXPECTED_I_HAT_ORACLE
 SUBSTITUTION_CASES = [(1e-3, 0.99, 10), (1e-3, 0.5, 3)]
+# (shape, weight, n) of the corner oracle, stored the same way: shapes between 1 and 2, where the
+# first mesh grades the corner of Q(alpha, t/s_q) at 0, and two small-shape cells whose convolutions
+# condition on shapes 1.18 and 1.56
+CORNER_CASES = [(1.05, 0.75, 10), (1.1, 0.5, 40), (1.2, 0.9, 40), (1.5, 0.5, 3), (1.7, 0.25, 120),
+                (0.01, 0.999, 120), (0.02, 0.99, 80)]
 
 
 class TestBiasQuery:
@@ -72,7 +77,7 @@ class TestExpectedIHat:
     @pytest.mark.parametrize("alpha, lam, n, builds, convolutions", [
         (1.0, 0.75, 120, 1, 3), (0.5, 0.75, 120, 2, 2), (10.0, 0.75, 120, 1, 17), (2.0, 0.999, 40, 1, 100),
         (1e-3, 0.99, 10, 5, 26), (1e-3, 0.5, 40, 6, 0), (400.0, 0.5, 40, 1, 137), (1e3, 0.5, 40, 1, 151),
-        (1e4, 0.5, 120, 1, 156), (50.0, 0.9, 120, 1, 123), (0.5, 0.9, 40, 1, 3),
+        (1e4, 0.5, 120, 1, 156), (50.0, 0.9, 120, 1, 123), (0.5, 0.9, 40, 1, 3), (0.01, 0.999, 120, 2, 230),
     ])
     def test_work_per_cell(self, alpha, lam, n, builds, convolutions, monkeypatch):
         # one Phi2 call, so one table, per rule call of the bias integral, no convolution past
@@ -80,8 +85,13 @@ class TestExpectedIHat:
         # convolution that conditions on a shape >= 1, at (0.5, 0.9, 40) too, where the first
         # mesh's upper-tail points spare two splits; (1e-3, 0.99, 10) conditions on a shape
         # below 1, in v = (b u)^a, and takes 6 per convolution.  The bias integral's first mesh
-        # resolves it in one rule call at these cells from shape 1 on, and in 2 to 6 below
-        rules = {(1e-3, 0.99, 10): 156}.get((alpha, lam, n), convolutions)
+        # resolves it in one rule call at these cells from shape 1 on, and in 2 to 6 below.
+        # (0.01, 0.999, 120) conditions on shape 1.18, graded toward its corner at 0 (4,140 rule
+        # calls without), and takes 3 per convolution, as its mesh pieces [1/4, 1]/b and
+        # [a + w, a + w + (U - a - w)/4]/b split once each; 4 of its 6 bias rule calls have no
+        # series point
+        rules = {(1e-3, 0.99, 10): 156, (0.01, 0.999, 120): 690}.get((alpha, lam, n), convolutions)
+        bias_rules = {(0.01, 0.999, 120): 6}.get((alpha, lam, n), builds)
         counts = {"_phi2_table": 0, "_ghypo_cdf_convolution": 0, "rules": 0, "bias_rules": 0}
         for module, name in ((specfun, "_phi2_table"), (distributions, "_ghypo_cdf_convolution")):
             def counted(*args, name=name, f=getattr(module, name)):
@@ -99,7 +109,7 @@ class TestExpectedIHat:
 
         expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n))
         got = (counts["_phi2_table"], counts["_ghypo_cdf_convolution"], counts["rules"], counts["bias_rules"])
-        assert got == (builds, convolutions, rules, builds)
+        assert got == (builds, convolutions, rules, bias_rules)
 
     @pytest.mark.parametrize("alpha, lam, n, oracle", [
         (400.0, 0.5, 40, 0.022239867300),
@@ -140,10 +150,20 @@ class TestExpectedIHat:
         got = expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n))
         assert abs(got - reference_values.EXPECTED_I_HAT_ORACLE[alpha, lam, n]) <= 1e-10
 
+    @pytest.mark.parametrize("alpha, lam, n", CORNER_CASES)
+    def test_graded_corner_cells_match_stored_oracle(self, alpha, lam, n):
+        # ungraded first meshes left (1.05, 0.75, 10) 7.0e-12 off and (0.01, 0.999, 120) 3.2e-11;
+        # (0.02, 0.99, 80) is 1.04e-12 off, from its Phi2 series points at y up to 2e4, where
+        # F = exp(ln prefactor + ln Phi2) sums two logs near -+y and is 3e-12 off at worst
+        tol = 1.5e-12 if (alpha, lam, n) == (0.02, 0.99, 80) else 1e-12
+        got = expected_i_hat(BiasQuery(alpha=alpha, lam=lam, n=n))
+        assert abs(got - reference_values.EXPECTED_I_HAT_ORACLE[alpha, lam, n]) <= tol
+
     def test_stored_oracle_holds_exactly_the_cases(self):
         # a case added, dropped or moved needs make_reference_values.py run again
-        assert sorted(reference_values.EXPECTED_I_HAT_ORACLE) == sorted(SUBSTITUTION_CASES)
-        assert len(SUBSTITUTION_CASES) == len(set(SUBSTITUTION_CASES)) == 2
+        cases = SUBSTITUTION_CASES + CORNER_CASES
+        assert sorted(reference_values.EXPECTED_I_HAT_ORACLE) == sorted(cases)
+        assert len(cases) == len(set(cases)) == 9
 
 
 class TestBetaOracle:
@@ -159,12 +179,14 @@ class TestBetaOracle:
 
 
 class TestExpectedHHat:
-    @pytest.mark.parametrize("alpha", [1e-3, 2e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e3, 1e4])
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-100, 1e-12, 1e-3, 2e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0,
+                                       50.0, 1e3, 1e4])
     def test_closed_form_against_mpmath(self, alpha):
         # S = X1/sum X is Beta(alpha, (n-1) alpha), and E[H_hat] = E(1 - nS)^+ is
         # x^a (1-x)^b / (a B(a, b)) at x = 1/n, a = alpha, b = (n-1) alpha (DLMF 8.17.20);
         # a quadrature of the single-gamma survival, whose Q((n-1) alpha, .) has a corner at 0,
-        # missed the three frozen small-shape cells by 1.1e-10 to 4.5e-9
+        # missed the three frozen small-shape cells by 1.1e-10 to 4.5e-9, and a form through
+        # Stirling defects, which cancel from about ln(1/alpha), was 1.7e-13 off at (1e-300, 4000)
         frozen = {(1e-3, 40): 0.970511777987736, (1e-3, 50): 0.975283695167826, (2e-3, 40): 0.966158136832221}
         for n in (2, 3, 10, 40, 50, 120, 250, 4000):
             with mp.workdps(40):

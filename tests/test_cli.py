@@ -495,8 +495,13 @@ class TestWorkflowPins:
         ("bias --alpha 0.5 --lambda 0.75 --n 120 --digits 12", "E[I_hat]  0.571598349577"),
         ("bias --alpha 0.5 --lambda 0.9 --n 40 --digits 12", "E[I_hat]  0.607647444433"),
         ("bias --alpha 2 --lambda 0.999 --n 40 --digits 12", "E[I_hat]  0.374812559405"),
-        # the Hoover estimator's closed form (mpmath: 0.256661826357868)
+        # a cell whose convolutions condition on shape 1.18, which an ungraded first mesh left
+        # 3.2e-11 off (0.986289584699; mpmath: 0.986289584666518)
+        ("bias --alpha 0.01 --lambda 0.999 --n 120 --digits 12", "E[I_hat]  0.986289584667"),
+        # the Hoover estimator's closed form (mpmath: 0.256661826357868), and at a tiny shape,
+        # where a form through Stirling defects read 0.89999999999992342
         ("bias --alpha 2 --lambda 0 --n 10 --digits 12", "E[I_hat]  0.256661826358"),
+        ("bias --alpha 1e-300 --lambda 0 --n 10 --digits 17", "E[I_hat]  0.90000000000000002"),
     ])
     def test_bias_expectations(self, capsys, argv, line):
         code, out, _ = run_cli(capsys, *argv.split())

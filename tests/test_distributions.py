@@ -17,6 +17,13 @@ from ineqbridge.distributions import _ghypo_cdf_convolution
 from ineqbridge.specfun import _gamma_bulk
 
 from helpers import hypoexp_cdf, mp_ghypo_cdf, quad_ghypo_cdf
+import reference_values
+
+# (a1, b1, a2, b2, t) past the series budget, where ghypo_cdf conditions on the first component,
+# of shape between 1 and 2; make_reference_values.py stores their 25-digit helpers.mp_ghypo_cdf
+# values in reference_values.GHYPO_CDF_ORACLE
+CORNER_CASES = ([(1.18, 1000.0, 0.01, 0.008, t) for t in (30.0, 200.0, 600.0)]
+                + [(1.56, 100.0, 0.02, 0.0125, t) for t in (300.0, 600.0)])
 
 
 class TestParams:
@@ -155,6 +162,22 @@ class TestGHypoCdf:
                 series_val = ghypo_cdf(g, t)
                 conv_val = _ghypo_cdf_convolution(g, t)
                 assert conv_val == pytest.approx(series_val, abs=2e-9)
+
+    @pytest.mark.parametrize("a1, b1, a2, b2, t", CORNER_CASES)
+    def test_convolution_grades_the_corner_between_shapes_one_and_two(self, a1, b1, a2, b2, t, monkeypatch):
+        # the conditioned density u^(a-1) e^(-b u) has unbounded curvature at 0: an ungraded
+        # first mesh left these points 3.2e-11 to 5.1e-11 off
+        calls = []
+        monkeypatch.setattr(distributions, "_ghypo_cdf_convolution",
+                            lambda *args, f=_ghypo_cdf_convolution: calls.append(args) or f(*args))
+        got = ghypo_cdf(GHypoParams(a1, b1, a2, b2), t)
+        assert len(calls) == 1
+        assert abs(got - reference_values.GHYPO_CDF_ORACLE[a1, b1, a2, b2, t]) <= 1e-13
+
+    def test_stored_oracle_holds_exactly_the_cases(self):
+        # a case added, dropped or moved needs make_reference_values.py run again
+        assert sorted(reference_values.GHYPO_CDF_ORACLE) == sorted(CORNER_CASES)
+        assert len(CORNER_CASES) == len(set(CORNER_CASES)) == 5
 
     def test_convolution_below_shape_one(self):
         # the convolution conditions on the component whose mass ends first; below shape 1

@@ -72,12 +72,14 @@ class TestRunScenario:
         assert run_scenario(c) == first
 
     def test_equal_configs_report_their_own(self):
-        # 0.0 == -0.0, so the second config reads the first one's memo entry
+        # -0.0 is stored as +0.0, so equal configs hold identical fields and the second
+        # config's memo entry is the first one's, config included
         zero = SimConfig(alpha=2.0, lam=0.0, n=10, reps=20, seed=6)
         negative_zero = SimConfig(alpha=2.0, lam=-0.0, n=10, reps=20, seed=6)
+        assert math.copysign(1.0, negative_zero.lam) == 1.0
         first, second = run_scenario(zero), run_scenario(negative_zero)
         assert first == second
-        assert math.copysign(1.0, second.config.lam) == -1.0
+        assert math.copysign(1.0, second.config.lam) == 1.0
 
     def test_truth_coherence(self):
         c = SimConfig(alpha=2.0, lam=0.25, n=10, reps=5, seed=3)
